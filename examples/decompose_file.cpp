@@ -18,7 +18,7 @@
 //   --trace out.json              write a Chrome-format timeline of the
 //                                 run: modelled timestamps under the sim
 //                                 backend, measured wall-clock timestamps
-//                                 from the lane/copy-engine/worker threads
+//                                 from the compute/copy engine threads
 //                                 under --backend host — same rows and
 //                                 labels, so the two files render
 //                                 side-by-side in Perfetto
@@ -525,12 +525,20 @@ bool write_report_json(const std::string& path, const amped::CliArgs& args,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: decompose_file [--input FILE.tns|FILE.amptns] [--rank R] "
+    "[--gpus N] [--iters N]\n"
+    "                      [--output model.ampfac] [--policy NAME] "
+    "[--backend sim|host] [--pipelined]\n"
+    "       decompose_file --batch [FILE...] [--graph-window N] [--tol X]\n"
+    "(every flag is described at the top of examples/decompose_file.cpp)\n";
+
 int main(int argc, char** argv) {
   using namespace amped;
   CliArgs args(argc, argv);
   CpdOptions opt;
   apply_common_flags(args, &opt.mttkrp);
-  const int gpus = static_cast<int>(args.get_int("gpus", 4));
+  const int gpus = gpu_count_flag(args, kUsage);
   const std::int64_t rank_arg = args.get_int("rank", 16);
   if (rank_arg <= 0) {
     AMPED_LOG_ERROR << "--rank must be >= 1 (got " << rank_arg << ")";

@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   using namespace amped;
   CliArgs args(argc, argv);
   apply_common_flags(args);
-  const int gpus = static_cast<int>(args.get_int("gpus", 4));
+  const int gpus = gpu_count_flag(
+      args, "usage: quickstart [--gpus N] [--rank R] [--iters N] [--nnz N]\n");
   const auto rank = static_cast<std::size_t>(args.get_int("rank", 16));
   const auto iters = static_cast<std::size_t>(args.get_int("iters", 20));
   const auto nnz = static_cast<nnz_t>(args.get_int("nnz", 200000));

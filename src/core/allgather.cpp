@@ -106,6 +106,16 @@ double allgather_seconds(const sim::Platform& platform,
   return total;
 }
 
+std::uint64_t allgather_bytes(std::span<const std::uint64_t> part_bytes,
+                              AllGatherAlgo algo) {
+  const auto m = static_cast<std::uint64_t>(part_bytes.size());
+  if (m <= 1) return 0;
+  std::uint64_t total = 0;
+  for (const auto p : part_bytes) total += p;
+  return algo == AllGatherAlgo::kHostStaged ? total + m * total
+                                            : (m - 1) * total;
+}
+
 AllGatherReport allgather_factor_rows(sim::Platform& platform,
                                       std::span<const std::uint64_t> part_bytes,
                                       AllGatherAlgo algo) {

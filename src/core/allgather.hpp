@@ -47,4 +47,11 @@ double allgather_seconds(const sim::Platform& platform,
                          std::span<const std::uint64_t> part_bytes,
                          AllGatherAlgo algo = AllGatherAlgo::kRing);
 
+// Total bytes the exchange puts on the wire, one GPU per entry of
+// `part_bytes` — equal to allgather_factor_rows' bytes_moved. Ring and
+// direct send every partition to M-1 peers; host-staged moves each
+// partition D2H once and broadcasts the concatenation to all M GPUs.
+std::uint64_t allgather_bytes(std::span<const std::uint64_t> part_bytes,
+                              AllGatherAlgo algo = AllGatherAlgo::kRing);
+
 }  // namespace amped

@@ -90,6 +90,8 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
             copy.tensor = materialize_input(input);
             copy.tensor.sort_by_mode(d);
             copy.partition = build_mode_partition(copy.tensor, d, shards);
+            // Overlaps the other modes' builds; only this task writes it.
+            if (d == 0) out.values_norm_sq_ = tensor_norm_sq(copy.tensor);
             out.copies_[d] = std::move(copy);
           } catch (...) {
             errors[d] = std::current_exception();
@@ -97,9 +99,6 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
         });
     for (auto& e : errors) {
       if (e) std::rethrow_exception(e);
-    }
-    if (!out.copies_.empty()) {
-      out.values_norm_sq_ = tensor_norm_sq(out.copies_[0].tensor);
     }
   } else {
     // Out-of-core build: one mode at a time, bounding tracked host usage

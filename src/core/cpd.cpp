@@ -15,8 +15,22 @@
 namespace amped {
 
 double tensor_norm_sq(const CooTensor& t) {
+  const auto vals = t.values();
+  auto same_coords = [&](nnz_t a, nnz_t b) {
+    for (std::size_t m = 0; m < t.num_modes(); ++m) {
+      if (t.indices(m)[a] != t.indices(m)[b]) return false;
+    }
+    return true;
+  };
   double acc = 0.0;
-  for (value_t v : t.values()) acc += static_cast<double>(v) * v;
+  double run = 0.0;  // sum of the current run of equal coordinates
+  for (nnz_t i = 0; i < t.nnz(); ++i) {
+    run += vals[i];
+    if (i + 1 == t.nnz() || !same_coords(i, i + 1)) {
+      acc += run * run;
+      run = 0.0;
+    }
+  }
   return acc;
 }
 

@@ -78,7 +78,9 @@ struct CpdResult {
   std::size_t checkpoints_written = 0;
 };
 
-// Frobenius norm squared of the tensor's nonzero values.
+// Frobenius norm squared of the tensor, with repeated coordinates summed
+// first, as MTTKRP sums them. Entries with equal coordinates must be
+// adjacent, as any sort_by_mode order leaves them.
 double tensor_norm_sq(const CooTensor& t);
 
 // Runs ALS until convergence or max_iterations. `tensor` supplies both the

@@ -23,25 +23,16 @@ bool is_dynamic(const Plan& plan) {
 // exactly one barrier followed by exactly one all-gather. (This is what
 // every mode scheduler lowers; anything else — host ops, mid-plan
 // barriers — keeps its barriers in the fallback path.)
-bool canonical_mode_shape(const Plan& plan) {
-  const std::size_t n = plan.tasks.size();
-  if (n < 2) return false;
-  if (plan.tasks[n - 2].kind != TaskKind::kBarrier ||
-      plan.tasks[n - 1].kind != TaskKind::kAllGather) {
+bool canonical_mode_shape(std::span<const Task> tasks) {
+  const std::size_t n = tasks.size();
+  if (n < 2 || tasks[n - 2].kind != TaskKind::kBarrier ||
+      tasks[n - 1].kind != TaskKind::kAllGather) {
     return false;
   }
-  for (std::size_t i = 0; i + 2 < n; ++i) {
-    switch (plan.tasks[i].kind) {
-      case TaskKind::kSpillFetch:
-      case TaskKind::kH2D:
-      case TaskKind::kD2H:
-      case TaskKind::kKernel:
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
+  return std::none_of(tasks.begin(), tasks.end() - 2, [](const Task& t) {
+    return t.kind == TaskKind::kBarrier || t.kind == TaskKind::kAllGather ||
+           t.kind == TaskKind::kHostOp;
+  });
 }
 
 // Moves task `t` of source plan `s` into `out`, shifting its scope,
@@ -78,7 +69,7 @@ Plan compose(std::span<Plan> plans, ComposeInfo* info) {
           "dynamic must match across the batch)");
     }
     parallel_lanes = parallel_lanes && p.parallel_lanes;
-    all_canonical = all_canonical && canonical_mode_shape(p);
+    all_canonical = all_canonical && canonical_mode_shape(p.tasks);
     const RowScope si = p.scopes.empty() ? RowScope{} : p.scopes.front();
     for (std::size_t j = 0; j < i; ++j) {
       const Plan& q = plans[j];
@@ -258,28 +249,11 @@ namespace {
 // canonical_mode_shape with an optional trailing host op: lane tasks,
 // barrier, all-gather[, host op] — the link shape compose_graph accepts.
 bool canonical_link_shape(const Plan& plan) {
-  if (plan.tasks.empty()) return false;
-  if (plan.tasks.back().kind == TaskKind::kHostOp) {
-    const std::size_t n = plan.tasks.size() - 1;
-    if (n < 2) return false;
-    if (plan.tasks[n - 2].kind != TaskKind::kBarrier ||
-        plan.tasks[n - 1].kind != TaskKind::kAllGather) {
-      return false;
-    }
-    for (std::size_t i = 0; i + 2 < n; ++i) {
-      switch (plan.tasks[i].kind) {
-        case TaskKind::kSpillFetch:
-        case TaskKind::kH2D:
-        case TaskKind::kD2H:
-        case TaskKind::kKernel:
-          break;
-        default:
-          return false;
-      }
-    }
-    return true;
+  std::span<const Task> tasks = plan.tasks;
+  if (!tasks.empty() && tasks.back().kind == TaskKind::kHostOp) {
+    tasks = tasks.first(tasks.size() - 1);
   }
-  return canonical_mode_shape(plan);
+  return canonical_mode_shape(tasks);
 }
 
 }  // namespace
@@ -294,8 +268,10 @@ Plan compose_graph(std::span<std::vector<Plan>> chains, ComposeInfo* info) {
   if (total_links == 0) {
     throw std::invalid_argument("compose_graph: no links given");
   }
+  bool parallel_lanes = true;
   for (const auto& chain : chains) {
     for (const Plan& p : chain) {
+      parallel_lanes = parallel_lanes && p.parallel_lanes;
       if (p.scopes.size() > 1) {
         throw std::invalid_argument("compose_graph: link \"" + p.scheduler +
                                     "\" is already composed");
@@ -339,7 +315,9 @@ Plan compose_graph(std::span<std::vector<Plan>> chains, ComposeInfo* info) {
   out.scheduler = "graph(" + std::to_string(chains.size()) + " chains, " +
                   std::to_string(total_links) + " links)";
   out.pipelined = true;  // graph lanes always overlap copy and compute
-  out.parallel_lanes = false;
+  // Lanes run concurrently when every link's do: unordered tasks of one
+  // link own disjoint rows, chains are disjoint, and edges order links.
+  out.parallel_lanes = parallel_lanes;
   out.graph = true;
 
   ComposeInfo result;

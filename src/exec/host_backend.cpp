@@ -7,6 +7,8 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <ranges>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -41,6 +43,8 @@ ExecBackend parse_backend(const std::string& name) {
 
 namespace {
 
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
 // Lane-private "device global memory": the staged copy of one shard
 // payload plus the view the kernel reads it through. A CUDA port swaps
 // the owned tensor for a device allocation; the view indirection (data +
@@ -48,7 +52,6 @@ namespace {
 struct DeviceBuffer {
   CooTensor elements;
   io::ShardStreamer::View view;
-  bool valid = false;
 };
 
 // The real H2D: copies elements [begin, end) of the stream view into
@@ -71,966 +74,593 @@ void stage_payload(const io::ShardStreamer::View& src_view, nnz_t begin,
       src.dims(), std::move(cols),
       std::vector<value_t>(vals.begin() + lo, vals.begin() + hi));
   buf.view = {&buf.elements, begin};
-  buf.valid = true;
-}
-
-// Per-lane (or per-dynamic-worker) accounting, merged into the
-// ExecReport after the lane's thread has been joined — no concurrent
-// writes to shared report state anywhere.
-struct LaneStats {
-  double fetch = 0.0;
-  double h2d = 0.0;
-  double d2h = 0.0;
-  double predicted_h2d = 0.0;
-  // Same transfers priced at the fluid share for the lanes actually
-  // streaming when each copy started (sampled from the run's live
-  // counter) — the contention-model column bench_backend_validation
-  // compares against wall_h2d.
-  double predicted_h2d_fluid = 0.0;
-  double compute = 0.0;            // measured kernel wall seconds
-  double predicted_compute = 0.0;  // cost-model seconds from the closures
-  double end = -1.0;  // run-clock offset when the lane finished (-1 = idle)
-  std::vector<double> scope_compute;
-  std::vector<std::uint64_t> scope_rows;
-  // Graph runs only: run-clock offsets of each scope's first kernel start
-  // and last kernel finish on this lane (-1 = no kernel ran).
-  std::vector<double> scope_start;
-  std::vector<double> scope_finish;
-};
-
-// Structured cancellation for one plan run: the first failure anywhere
-// (lane thread, copy engine, dynamic worker, serial segment) records its
-// exception and flips the cancel flag; every sibling polls the flag at
-// its next task/unit boundary and unwinds cleanly. After all threads are
-// joined, the earliest-recorded error is rethrown — one exception out,
-// no hung condition waits, no leaked threads or staging buffers.
-struct CancelGroup {
-  std::atomic<bool> cancel{false};
-  std::mutex mutex;
-  std::exception_ptr first_error;
-
-  bool cancelled() const { return cancel.load(std::memory_order_relaxed); }
-
-  // Call from a catch block: records the in-flight exception (first
-  // writer wins — errors are recorded in real-time order, so this is the
-  // earliest) and cancels the run.
-  void capture() noexcept {
-    cancel.store(true, std::memory_order_relaxed);
-    std::lock_guard lock(mutex);
-    if (!first_error) first_error = std::current_exception();
-  }
-
-  void rethrow_if_any() {
-    std::exception_ptr e;
-    {
-      std::lock_guard lock(mutex);
-      e = first_error;
-    }
-    if (e) std::rethrow_exception(e);
-  }
-};
-
-struct RunContext {
-  sim::Platform& platform;
-  Plan& plan;
-  const WallTimer& clock;  // whole-run timer; lane-end offsets read it
-  CancelGroup& cg;         // one per run_plan_host_parallel call
-  sim::TraceLog* trace;    // platform's attached trace, or nullptr
-  // Live count of lanes inside a staging copy right now; each H2D samples
-  // it (inclusive of itself) to price its fluid-contention prediction.
-  std::atomic<int>& streaming_lanes;
-};
-
-// Stages one payload while holding the streaming-lane counter, and books
-// both predicted columns: the legacy static all-lanes share and the fluid
-// share at the sampled concurrency.
-void stage_counted(RunContext& rc, const io::ShardStreamer::View& view,
-                   const Task& t, DeviceBuffer& buf, LaneStats& stats) {
-  const int lanes =
-      rc.streaming_lanes.fetch_add(1, std::memory_order_relaxed) + 1;
-  stage_payload(view, t.payload_begin, t.payload_end, buf);
-  rc.streaming_lanes.fetch_sub(1, std::memory_order_relaxed);
-  stats.predicted_h2d += rc.platform.h2d_seconds(t.transfer_bytes);
-  stats.predicted_h2d_fluid +=
-      rc.platform.h2d_seconds(t.transfer_bytes, lanes);
-}
-
-// Start stamp for a trace span: seconds on the shared log's clock, so
-// events from every plan run in one job land on one monotone time base.
-double trace_now(const RunContext& rc) {
-  return rc.trace != nullptr ? rc.trace->host_now() : 0.0;
-}
-
-// Records one wall-clock operation. Engine 0 is the lane/worker/compute
-// thread, engine 1 the pipelined lane's copy engine — the same rows the
-// simulator's events map to, so sim and host traces of one plan render
-// side by side.
-void trace_op(const RunContext& rc, int device, int engine, sim::Phase phase,
-              double start_s, double duration_s, std::string label) {
-  if (rc.trace == nullptr) return;
-  sim::TraceEvent e;
-  e.device = device;
-  e.engine = engine;
-  e.phase = phase;
-  e.start_s = start_s;
-  e.duration_s = duration_s;
-  e.label = std::move(label);
-  rc.trace->record(std::move(e));
-}
-
-// Mirrors the simulator's kernel labelling (shard grids only); unlabelled
-// kernels fall back to the phase name in the Chrome export, same as sim.
-std::string kernel_label(const Task& t) {
-  return t.labelled ? shard_label(t) : std::string();
-}
-
-std::string h2d_label(const Task& t) {
-  return "h2d scope" + std::to_string(t.scope) + " [" +
-         std::to_string(t.payload_begin) + "," +
-         std::to_string(t.payload_end) + ")";
-}
-
-metrics::Histogram& kernel_seconds_hist() {
-  static metrics::Histogram& h =
-      metrics::histogram("exec.host.kernel_seconds");
-  return h;
-}
-
-// Groups `ids` into dispatch units: consecutive tasks through their
-// closing kernel (the same unit boundary the simulator's dynamic
-// dispatch uses).
-std::vector<std::vector<std::size_t>> split_units(
-    const Plan& plan, const std::vector<std::size_t>& ids) {
-  std::vector<std::vector<std::size_t>> units;
-  std::vector<std::size_t> unit;
-  for (std::size_t id : ids) {
-    unit.push_back(id);
-    if (plan.tasks[id].kind == TaskKind::kKernel) {
-      units.push_back(std::move(unit));
-      unit.clear();
-    }
-  }
-  assert(unit.empty() && "lane must end each unit with a kernel");
-  return units;
 }
 
 bool annotated(const Task& t) { return t.payload_end > t.payload_begin; }
 
-// Sequential engine: one thread runs the lane's tasks in program order —
-// acquire, stage, compute, copy back. Also the fallback for lanes whose
-// transfers carry no payload annotation (baseline lowerings), where the
-// kernel reads the stream view directly like the simulator's lanes.
-void run_lane_sequential(RunContext& rc, int gpu,
-                         const std::vector<std::size_t>& ids,
-                         LaneStats& stats) {
-  Plan& plan = rc.plan;
-  io::ShardStreamer::View view;
+bool stages(const Task& t) {
+  return t.kind == TaskKind::kSpillFetch || t.kind == TaskKind::kH2D;
+}
+
+bool on_coordinator(const Task& t) {
+  return t.kind == TaskKind::kBarrier || t.kind == TaskKind::kAllGather ||
+         t.kind == TaskKind::kHostOp;
+}
+
+// Host-side state of one simulated GPU. The view and the staging ring are
+// written only by the engine that runs the GPU's copy-engine tasks, the
+// bounce buffers only by its compute engine, the ring bookkeeping only by
+// its binder, and `bound` only under Interpreter::mu_.
+struct Lane {
+  io::ShardStreamer::View view;  // the latest SpillFetch
   bool have_view = false;
-  DeviceBuffer staged;
+  DeviceBuffer ring[2];          // staging ring, depth 1 or 2
+  std::size_t units = 0;         // units bound so far
+  int open_slot = -1;            // ring slot of the unit being bound
+  std::size_t slot_reader[2] = {kNone, kNone};  // last kernel per slot
+  // Compute-engine tasks in bind order; kNone closes the lane.
+  std::vector<std::size_t> bound;
   std::vector<unsigned char> bounce_src, bounce_dst;
-  for (std::size_t id : ids) {
-    // A sibling lane failed: stop at the next task boundary so the whole
-    // segment unwinds promptly instead of finishing a doomed mode.
-    if (rc.cg.cancelled()) return;
-    AMPED_FAULT_POINT("host.lane");
-    Task& t = plan.tasks[id];
-    switch (t.kind) {
-      case TaskKind::kSpillFetch: {
-        const double ts = trace_now(rc);
-        WallTimer w;
-        view = plan.streamers[t.streamer]->acquire(t.stream_pos);
-        have_view = true;
-        const double el = w.seconds();
-        stats.fetch += el;
-        trace_op(rc, gpu, 0, sim::Phase::kHostCompute, ts, el,
-                 "fetch pos" + std::to_string(t.stream_pos));
-        break;
-      }
-      case TaskKind::kH2D: {
-        const double ts = trace_now(rc);
-        WallTimer w;
-        if (annotated(t)) {
-          assert(have_view && "annotated H2D with no stream view");
-          stage_counted(rc, view, t, staged, stats);
-        } else {
-          staged.valid = false;
-          stats.predicted_h2d += rc.platform.h2d_seconds(t.transfer_bytes);
-          stats.predicted_h2d_fluid +=
-              rc.platform.h2d_seconds(t.transfer_bytes, 1);
+};
+
+// An entry of a binder's program: one of its GPU's static lane tasks, or
+// a run of kAnyGpu units to pull from the shared cursor.
+struct Item {
+  std::size_t task = kNone;
+  std::size_t run = kNone;
+};
+
+// The one host interpreter (see host_backend.hpp for the engine model).
+// Tasks record only their start, finish and predicted seconds while the
+// plan runs; every report total and trace event is derived from those
+// after the engines are joined.
+class Interpreter {
+ public:
+  Interpreter(sim::Platform& platform, Plan& plan)
+      : platform_(platform),
+        plan_(plan),
+        m_(platform.num_gpus()),
+        trace_(platform.trace()) {
+    const std::size_t n = plan.tasks.size();
+    const auto m = static_cast<std::size_t>(m_);
+    report_.scope_owned_rows.assign(plan.num_scopes(),
+                                    std::vector<std::uint64_t>(m, 0));
+    lanes_ = std::vector<Lane>(m);
+    items_.resize(m);
+    waiters_ = std::vector<Waiter>(2 * m + 1);
+    gpu_of_.assign(n, -1);
+    slot_of_.assign(n, -1);
+    start_.assign(n, 0.0);
+    finish_.assign(n, 0.0);
+    predicted_.assign(n, 0.0);
+    done_.assign(n, 0);
+
+    // One pass derives the edges, each binder's program and the kAnyGpu
+    // unit table.
+    serial_ = !plan.parallel_lanes || host_parallelism() <= 1;
+    std::size_t fence = kNone;  // the latest coordinator task
+    bool open_unit = false;
+    bool open_run = false;
+    for (std::size_t id = 0; id < n; ++id) {
+      const Task& t = plan.tasks[id];
+      dep_begin_.push_back(edges_.size());
+      edges_.insert(edges_.end(), t.deps.begin(), t.deps.end());
+      if (on_coordinator(t)) {
+        // Legacy fence: waits for every lane task since the previous one,
+        // and every later lane task waits for it.
+        const std::size_t first = fence == kNone ? 0 : fence + 1;
+        for (std::size_t i = first; !plan.graph && i < id; ++i) {
+          edges_.push_back(i);
         }
-        const double el = w.seconds();
-        stats.h2d += el;
-        trace_op(rc, gpu, 0, sim::Phase::kHostToDevice, ts, el,
-                 h2d_label(t));
+        fence = id;
+        coordinator_tasks_.push_back(id);
+        open_unit = open_run = false;
+        continue;
+      }
+      if (!plan.graph && fence != kNone) edges_.push_back(fence);
+      if (t.kind == TaskKind::kH2D && !annotated(t)) serial_ = true;
+      if (t.gpu != kAnyGpu) {
+        assert(t.gpu >= 0 && t.gpu < m_ && "lane task names no GPU");
+        items_[static_cast<std::size_t>(t.gpu)].push_back({.task = id});
+        open_unit = open_run = false;
+        continue;
+      }
+      if (!open_run) {
+        run_end_.push_back(units_.size());
+        for (auto& program : items_) {
+          program.push_back({.run = run_end_.size() - 1});
+        }
+        open_run = true;
+      }
+      if (!open_unit) units_.emplace_back(id, id);
+      units_.back().second = id + 1;
+      run_end_.back() = units_.size();
+      // A unit is a chain of kAnyGpu tasks through its closing kernel.
+      open_unit = t.kind != TaskKind::kKernel;
+    }
+    dep_begin_.push_back(edges_.size());
+    two_engines_ = !serial_ && plan.pipelined;
+    depth_ = two_engines_ ? 2 : 1;
+    if (!units_.empty()) {
+      // Dispatch decisions are an observable the scheduler work cares
+      // about: one counter per GPU, resolved once (registration locks).
+      for (int g = 0; g < m_; ++g) {
+        dispatched_.push_back(&metrics::counter(
+            "sched.host.units_dispatched.gpu" + std::to_string(g)));
+      }
+    }
+  }
+
+  ExecReport run() {
+    if (serial_) {
+      run_serial();
+    } else {
+      run_threaded();
+    }
+    finish_report();
+    return std::move(report_);
+  }
+
+ private:
+  // Waiter slots: 2g = GPU g's binder, 2g + 1 = its compute engine, 2m =
+  // the coordinator (also the serial caller).
+  std::size_t binder_slot(int g) const {
+    return 2 * static_cast<std::size_t>(g);
+  }
+  std::size_t compute_slot(int g) const { return binder_slot(g) + 1; }
+  std::size_t coordinator_slot() const { return binder_slot(m_); }
+
+  // Whether a lane task belongs to its GPU's copy engine (else compute).
+  bool on_copy_engine(const Task& t) const {
+    return plan_.pipelined && stages(t);
+  }
+  // Whether GPU g's binder runs the task itself (else its compute engine).
+  bool on_binder(const Task& t) const {
+    return !two_engines_ || on_copy_engine(t);
+  }
+  std::span<const std::size_t> deps(std::size_t id) const {
+    return {edges_.data() + dep_begin_[id], edges_.data() + dep_begin_[id + 1]};
+  }
+  bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
+
+  // Plans that forbid parallel lanes, a one-thread pool, or an unannotated
+  // H2D (whose kernel reads the shared stream view): every task runs on
+  // the calling thread in plan order — a valid topological order for
+  // every plan — with kAnyGpu units dealt round-robin.
+  void run_serial() {
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      const auto g = u % static_cast<std::size_t>(m_);
+      dispatched_[g]->inc();
+      for (std::size_t id = units_[u].first; id < units_[u].second; ++id) {
+        gpu_of_[id] = static_cast<int>(g);
+      }
+    }
+    for (std::size_t id = 0; id < plan_.tasks.size(); ++id) {
+      const Task& t = plan_.tasks[id];
+      if (!on_coordinator(t)) {
+        bind(t.gpu == kAnyGpu ? gpu_of_[id] : t.gpu, id, coordinator_slot());
+      }
+      run_task(id, gpu_of_[id], coordinator_slot());
+    }
+  }
+
+  // The only place engine threads start. Each GPU with work gets a binder
+  // thread (its copy engine when the plan is pipelined, else its only
+  // engine) and, when pipelined, a compute thread; the calling thread is
+  // the coordinator. The first failure cancels every engine; all threads
+  // are joined before the earliest error is rethrown.
+  void run_threaded() {
+    std::vector<std::thread> threads;
+    auto guarded = [this](auto body) {
+      return [this, body] {
+        try {
+          body();
+        } catch (...) {
+          fail();
+        }
+      };
+    };
+    // A thread that fails to start cancels the run like any other error.
+    guarded([&] {
+      for (int g = 0; g < m_; ++g) {
+        if (items_[static_cast<std::size_t>(g)].empty()) continue;
+        threads.emplace_back(guarded([this, g] { run_binder(g); }));
+        if (two_engines_) {
+          threads.emplace_back(guarded([this, g] { run_compute(g); }));
+        }
+      }
+    })();
+    guarded([this] {
+      for (std::size_t id : coordinator_tasks_) {
+        if (!run_task(id, -1, coordinator_slot())) return;
+      }
+    })();
+    for (auto& th : threads) th.join();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+  void run_binder(int g) {
+    const std::size_t slot = binder_slot(g);
+    for (const Item& item : items_[static_cast<std::size_t>(g)]) {
+      if (cancelled()) break;
+      if (item.run != kNone) {
+        if (!pull(g, item.run)) break;
+      } else if (!bind(g, item.task, slot) ||
+                 (on_binder(plan_.tasks[item.task]) &&
+                  !run_task(item.task, g, slot))) {
         break;
       }
-      case TaskKind::kD2H: {
+    }
+    {
+      std::lock_guard lock(mu_);
+      lanes_[static_cast<std::size_t>(g)].bound.push_back(kNone);
+    }
+    waiters_[compute_slot(g)].cv.notify_one();
+  }
+
+  // Dynamic dispatch: GPU g takes kAnyGpu units from the shared cursor
+  // until run `run` is exhausted, so load balances by measured speed.
+  // Acquire + stage happen under the dispatch lock (streamer positions
+  // are taken in order, and position p's view dies at acquire(p+1) — the
+  // lock serialises exactly that window); the rest runs outside it.
+  bool pull(int g, std::size_t run) {
+    Lane& lane = lanes_[static_cast<std::size_t>(g)];
+    const std::size_t slot = binder_slot(g);
+    for (;;) {
+      // The ring edge, taken before the pull so a GPU never holds a unit
+      // it cannot stage yet.
+      const std::size_t reader = lane.slot_reader[lane.units % depth_];
+      if (reader != kNone && !wait_for({&reader, 1}, slot)) return false;
+      std::size_t u;
+      {
+        std::lock_guard lock(dispatch_);
+        if (cancelled()) return false;
+        // `>=`: one cursor serves every run, and another GPU may already
+        // have moved it into the next run.
+        if (next_unit_ >= run_end_[run]) return true;
+        u = next_unit_++;
+        AMPED_FAULT_POINT("host.worker");
+        dispatched_[static_cast<std::size_t>(g)]->inc();
+        for (std::size_t id = units_[u].first; id < units_[u].second; ++id) {
+          if (!bind(g, id, slot)) return false;
+          if (stages(plan_.tasks[id]) && !run_task(id, g, slot)) return false;
+        }
+      }
+      for (std::size_t id = units_[u].first; id < units_[u].second; ++id) {
+        const Task& t = plan_.tasks[id];
+        if (!stages(t) && on_binder(t) && !run_task(id, g, slot)) return false;
+      }
+    }
+  }
+
+  void run_compute(int g) {
+    Lane& lane = lanes_[static_cast<std::size_t>(g)];
+    Waiter& w = waiters_[compute_slot(g)];
+    for (std::size_t i = 0;; ++i) {
+      std::size_t id;
+      {
+        std::unique_lock lock(mu_);
+        while (i == lane.bound.size() && !cancelled()) {
+          w.on = kBound;
+          w.cv.wait(lock);
+        }
+        if (cancelled()) return;
+        id = lane.bound[i];
+      }
+      if (id == kNone || !run_task(id, g, compute_slot(g))) return;
+    }
+  }
+
+  // Binds lane task `id` to GPU g: records the GPU, assigns ring slots,
+  // and hands compute tasks to the compute engine. Staging into a
+  // slot waits for the last kernel that read it — the depth-2 ring as an
+  // edge (GPU g stages unit u only after it finished unit u-2).
+  bool bind(int g, std::size_t id, std::size_t slot) {
+    const Task& t = plan_.tasks[id];
+    Lane& lane = lanes_[static_cast<std::size_t>(g)];
+    gpu_of_[id] = g;
+    if (t.kind == TaskKind::kH2D && annotated(t)) {
+      lane.open_slot = static_cast<int>(lane.units % depth_);
+      const std::size_t reader = lane.slot_reader[lane.units % depth_];
+      if (reader != kNone && !wait_for({&reader, 1}, slot)) return false;
+      slot_of_[id] = lane.open_slot;
+    }
+    if (t.kind == TaskKind::kKernel) {
+      slot_of_[id] = lane.open_slot;
+      if (lane.open_slot >= 0) lane.slot_reader[lane.units % depth_] = id;
+      lane.open_slot = -1;
+      ++lane.units;
+    }
+    if (two_engines_ && !on_copy_engine(t)) {
+      {
+        std::lock_guard lock(mu_);
+        lane.bound.push_back(id);
+      }
+      waiters_[compute_slot(g)].cv.notify_one();
+    }
+    return true;
+  }
+
+  // The one body per task kind: waits for the task's edges, runs it,
+  // stamps it and marks it done. `g` is the GPU a lane task is bound to
+  // (-1 on the coordinator), `slot` the caller's waiter slot. False = the
+  // run was cancelled.
+  bool run_task(std::size_t id, int g, std::size_t slot) {
+    Task& t = plan_.tasks[id];
+    start_[id] = clock_.seconds();  // a barrier's span is its wait
+    if (!wait_for(deps(id), slot)) return false;
+    // Threaded kAnyGpu units fire host.worker at their pull instead; run
+    // serially they fire host.lane, like a sequential lane.
+    if (const bool fixed = t.gpu != kAnyGpu; g >= 0 && (fixed || serial_)) {
+      AMPED_FAULT_POINT(fixed && on_copy_engine(t) ? "host.copy"
+                                                   : "host.lane");
+    }
+    if (t.kind != TaskKind::kBarrier) start_[id] = clock_.seconds();
+    Lane* lane = g >= 0 ? &lanes_[static_cast<std::size_t>(g)] : nullptr;
+    switch (t.kind) {
+      case TaskKind::kSpillFetch:
+        lane->view = plan_.streamers[t.streamer]->acquire(t.stream_pos);
+        lane->have_view = true;
+        break;
+      case TaskKind::kH2D: {
+        // Priced at the fluid share for the lanes staging right now.
+        int streaming = 1;
+        if (const int s = slot_of_[id]; s >= 0) {
+          assert(lane->have_view && "annotated H2D with no stream view");
+          streaming = streaming_.fetch_add(1, std::memory_order_relaxed) + 1;
+          stage_payload(lane->view, t.payload_begin, t.payload_end,
+                        lane->ring[s]);
+          streaming_.fetch_sub(1, std::memory_order_relaxed);
+        }
+        predicted_[id] = platform_.h2d_seconds(t.transfer_bytes, streaming);
+        break;
+      }
+      case TaskKind::kD2H:
         // Partial results already live in host memory; move the same
         // byte count through a bounce buffer so the transfer is a real
         // copy of the plan's size — the slot a device port fills with a
         // genuine device-to-host DMA.
-        const double ts = trace_now(rc);
-        WallTimer w;
-        bounce_src.resize(t.transfer_bytes);
-        bounce_dst.resize(t.transfer_bytes);
+        lane->bounce_src.resize(t.transfer_bytes);
+        lane->bounce_dst.resize(t.transfer_bytes);
         if (t.transfer_bytes) {
-          std::memcpy(bounce_dst.data(), bounce_src.data(),
+          std::memcpy(lane->bounce_dst.data(), lane->bounce_src.data(),
                       t.transfer_bytes);
         }
-        const double el = w.seconds();
-        stats.d2h += el;
-        trace_op(rc, gpu, 0, sim::Phase::kDeviceToHost, ts, el,
-                 "d2h scope" + std::to_string(t.scope));
         break;
-      }
       case TaskKind::kKernel: {
-        const ExecContext ctx{rc.platform, gpu,
-                              staged.valid ? &staged.view
-                                           : (have_view ? &view : nullptr)};
-        const double ts = trace_now(rc);
-        WallTimer w;
-        const double predicted = t.kernel(ctx);
-        const double wall = w.seconds();
-        stats.compute += wall;
-        stats.predicted_compute += predicted;
-        stats.scope_compute[t.scope] += wall;
-        stats.scope_rows[t.scope] += t.owned_rows;
-        kernel_seconds_hist().record_seconds(wall);
-        trace_op(rc, gpu, 0, sim::Phase::kCompute, ts, wall,
-                 kernel_label(t));
+        // The unit's staged payload; without one (baseline lowerings, run
+        // serially) the kernel reads the stream view like the simulator.
+        const int s = slot_of_[id];
+        const io::ShardStreamer::View* view =
+            s >= 0 ? &lane->ring[s].view
+                   : (!two_engines_ && lane->have_view ? &lane->view : nullptr);
+        predicted_[id] = t.kernel(ExecContext{platform_, g, view});
+        report_.scope_owned_rows[t.scope][static_cast<std::size_t>(g)] +=
+            t.owned_rows;
         break;
       }
-      default:
-        assert(false && "global task inside a lane");
-    }
-  }
-  stats.end = rc.clock.seconds();
-}
-
-// Pipelined engine: a copy thread stages unit i+1 (acquire + H2D into a
-// depth-2 ring of device buffers) while the calling thread computes unit
-// i — real transfer/compute overlap, the host realisation of the
-// device's double-buffered copy engine. The kernel's dependency on its
-// H2D (Task::deps) is honoured by the ring's producer/consumer order.
-void run_lane_pipelined(RunContext& rc, int gpu,
-                        const std::vector<std::size_t>& ids,
-                        LaneStats& stats) {
-  for (std::size_t id : ids) {
-    const Task& t = rc.plan.tasks[id];
-    if (t.kind == TaskKind::kH2D && !annotated(t)) {
-      // No payload annotation means the kernel would read the shared
-      // stream view, which the copy engine's next acquire invalidates —
-      // overlap is impossible, run the lane sequentially instead.
-      run_lane_sequential(rc, gpu, ids, stats);
-      return;
-    }
-  }
-  const auto units = split_units(rc.plan, ids);
-  if (units.empty()) {
-    stats.end = rc.clock.seconds();
-    return;
-  }
-
-  DeviceBuffer ring[2];
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t staged_count = 0;
-  std::size_t consumed = 0;
-  CancelGroup& cg = rc.cg;
-
-  // Wakes anyone blocked on the ring after cg.cancel flipped. The empty
-  // lock section orders the flag write before the notify for waiters
-  // that were between their predicate check and the sleep.
-  auto wake_all = [&] {
-    { std::lock_guard lock(mu); }
-    cv.notify_all();
-  };
-
-  // Copy engine. Writes only the fetch/h2d stats fields; the compute
-  // thread writes only the compute fields — disjoint members, and the
-  // join below orders everything before the caller reads them. Any
-  // failure (its own or the consumer's) drains through the cancel group:
-  // both loops re-check cg at every ring-wait wakeup and unit boundary,
-  // so neither side can strand the other on the condition variable.
-  std::thread copy([&] {
-    try {
-      io::ShardStreamer::View view;
-      [[maybe_unused]] bool have_view = false;
-      for (std::size_t u = 0; u < units.size(); ++u) {
-        {
-          std::unique_lock lock(mu);
-          cv.wait(lock, [&] {
-            return staged_count - consumed < 2 || cg.cancelled();
-          });
+      case TaskKind::kBarrier:  // the fence edges already joined the lanes
+        break;
+      case TaskKind::kAllGather: {
+        // Factor mirrors are shared host memory, so there is nothing to
+        // exchange — the task contributes its ordering edges and its
+        // books. A device port replaces this with real peer copies sized
+        // scope_owned_rows[scope][g] * row_bytes, like the simulator.
+        std::vector<std::uint64_t> parts(static_cast<std::size_t>(m_));
+        for (std::size_t gi = 0; gi < parts.size(); ++gi) {
+          parts[gi] = report_.scope_owned_rows[t.scope][gi] * t.row_bytes;
         }
-        if (cg.cancelled()) {
-          // The cancel may have been raised by *another* lane, whose
-          // capture() never notifies this lane's cv: wake the consumer
-          // (its predicate re-checks the flag) before bailing, or it
-          // sleeps forever waiting for a unit that will never stage.
-          wake_all();
-          return;
-        }
-        AMPED_FAULT_POINT("host.copy");
-        for (std::size_t id : units[u]) {
-          Task& t = rc.plan.tasks[id];
-          if (t.kind == TaskKind::kSpillFetch) {
-            const double ts = trace_now(rc);
-            WallTimer w;
-            view = rc.plan.streamers[t.streamer]->acquire(t.stream_pos);
-            have_view = true;
-            const double el = w.seconds();
-            stats.fetch += el;
-            trace_op(rc, gpu, 1, sim::Phase::kHostCompute, ts, el,
-                     "fetch pos" + std::to_string(t.stream_pos));
-          } else if (t.kind == TaskKind::kH2D) {
-            const double ts = trace_now(rc);
-            WallTimer w;
-            assert(have_view && "annotated H2D with no stream view");
-            stage_counted(rc, view, t, ring[u % 2], stats);
-            const double el = w.seconds();
-            stats.h2d += el;
-            trace_op(rc, gpu, 1, sim::Phase::kHostToDevice, ts, el,
-                     h2d_label(t));
-          }
-        }
-        {
-          std::lock_guard lock(mu);
-          ++staged_count;
-        }
-        cv.notify_all();
-      }
-    } catch (...) {
-      cg.capture();
-      wake_all();
-    }
-  });
-
-  try {
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return staged_count > u || cg.cancelled(); });
-      }
-      if (cg.cancelled()) {
-        // Same cross-lane wakeup as in the copy engine: the flag may
-        // have flipped without a notify on this lane's cv, and the join
-        // below would otherwise wait on a copy thread that is blocked
-        // waiting for ring space.
-        wake_all();
+        report_.gather_edges.push_back(
+            {.scope = t.scope,
+             .mode = t.mode,
+             .bytes = allgather_bytes(parts, t.allgather),
+             .start = start_[id]});
         break;
       }
-      AMPED_FAULT_POINT("host.lane");
-      for (std::size_t id : units[u]) {
-        Task& t = rc.plan.tasks[id];
-        if (t.kind != TaskKind::kKernel) continue;
-        const ExecContext ctx{rc.platform, gpu,
-                              ring[u % 2].valid ? &ring[u % 2].view
-                                                : nullptr};
-        const double ts = trace_now(rc);
-        WallTimer w;
-        const double predicted = t.kernel(ctx);
-        const double wall = w.seconds();
-        stats.compute += wall;
-        stats.predicted_compute += predicted;
-        stats.scope_compute[t.scope] += wall;
-        stats.scope_rows[t.scope] += t.owned_rows;
-        kernel_seconds_hist().record_seconds(wall);
-        trace_op(rc, gpu, 0, sim::Phase::kCompute, ts, wall,
-                 kernel_label(t));
-      }
-      {
-        std::lock_guard lock(mu);
-        ++consumed;
-      }
-      cv.notify_all();
+      case TaskKind::kHostOp:
+        t.host_op(platform_);
+        break;
     }
-  } catch (...) {
-    // Before the cancel group, a kernel throw here escaped with the copy
-    // thread still joinable — std::terminate. Capture, wake the copy
-    // engine, and fall through to the join; flush rethrows after every
-    // lane is down.
-    cg.capture();
-    wake_all();
-  }
-  copy.join();
-  if (!cg.cancelled()) stats.end = rc.clock.seconds();
-}
-
-// Dynamic dispatch (plain and look-ahead): one worker thread per GPU
-// pulls dispatch units from a shared cursor — the work queue is a real
-// queue, so load balancing follows measured execution speed the same
-// way the simulator's earliest-idle-clock dispatch follows modelled
-// speed. Acquire + stage happen under the dispatch lock (streamer
-// positions must be taken in order, and position p's view dies at
-// acquire(p+1) — the lock serialises exactly that window); the kernel
-// runs outside it.
-void run_dynamic(RunContext& rc, const std::vector<std::size_t>& ids,
-                 std::vector<LaneStats>& per_gpu) {
-  Plan& plan = rc.plan;
-  const int m = rc.platform.num_gpus();
-  const auto units = split_units(plan, ids);
-
-  bool all_annotated = true;
-  for (std::size_t id : ids) {
-    const Task& t = plan.tasks[id];
-    if (t.kind == TaskKind::kH2D && !annotated(t)) all_annotated = false;
-  }
-  // Dispatch decisions are an observable the scheduler work cares about:
-  // one counter per GPU, resolved once per segment (registration locks).
-  std::vector<metrics::Counter*> units_dispatched;
-  units_dispatched.reserve(static_cast<std::size_t>(m));
-  for (int g = 0; g < m; ++g) {
-    units_dispatched.push_back(&metrics::counter(
-        "sched.host.units_dispatched.gpu" + std::to_string(g)));
+    finish_[id] = clock_.seconds();
+    mark_done(id);
+    return true;
   }
 
-  if (!all_annotated || m <= 1 || host_parallelism() <= 1 ||
-      units.size() <= 1) {
-    // Serial fallback: units round-robin across GPUs so per-GPU
-    // accounting still spreads (and unannotated kernels can read the
-    // stream view without a racing acquire).
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      units_dispatched[u % m]->inc();
-      run_lane_sequential(rc, static_cast<int>(u % m), units[u],
-                          per_gpu[u % m]);
-    }
-    return;
-  }
-
-  std::mutex dispatch;
-  std::size_t next = 0;
-  io::ShardStreamer::View shared_view;
-  CancelGroup& cg = rc.cg;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(m));
-  for (int g = 0; g < m; ++g) {
-    workers.emplace_back([&, g] {
-      auto& stats = per_gpu[static_cast<std::size_t>(g)];
-      try {
-        DeviceBuffer staged;
-        std::vector<unsigned char> bounce_src, bounce_dst;
-        bool ran = false;
-        for (;;) {
-          std::size_t u;
-          {
-            std::unique_lock lock(dispatch);
-            // A failed worker cancels the queue: siblings stop pulling
-            // units, join below, and the earliest error is rethrown.
-            if (next == units.size() || cg.cancelled()) break;
-            u = next++;
-            AMPED_FAULT_POINT("host.worker");
-            units_dispatched[static_cast<std::size_t>(g)]->inc();
-            for (std::size_t id : units[u]) {
-              Task& t = plan.tasks[id];
-              if (t.kind == TaskKind::kSpillFetch) {
-                const double ts = trace_now(rc);
-                WallTimer w;
-                shared_view = plan.streamers[t.streamer]->acquire(
-                    t.stream_pos);
-                const double el = w.seconds();
-                stats.fetch += el;
-                trace_op(rc, g, 0, sim::Phase::kHostCompute, ts, el,
-                         "fetch pos" + std::to_string(t.stream_pos));
-              } else if (t.kind == TaskKind::kH2D) {
-                const double ts = trace_now(rc);
-                WallTimer w;
-                stage_counted(rc, shared_view, t, staged, stats);
-                const double el = w.seconds();
-                stats.h2d += el;
-                trace_op(rc, g, 0, sim::Phase::kHostToDevice, ts, el,
-                         h2d_label(t));
-              }
-            }
-          }
-          ran = true;
-          for (std::size_t id : units[u]) {
-            Task& t = plan.tasks[id];
-            if (t.kind == TaskKind::kD2H) {
-              const double ts = trace_now(rc);
-              WallTimer w;
-              bounce_src.resize(t.transfer_bytes);
-              bounce_dst.resize(t.transfer_bytes);
-              if (t.transfer_bytes) {
-                std::memcpy(bounce_dst.data(), bounce_src.data(),
-                            t.transfer_bytes);
-              }
-              const double el = w.seconds();
-              stats.d2h += el;
-              trace_op(rc, g, 0, sim::Phase::kDeviceToHost, ts, el,
-                       "d2h scope" + std::to_string(t.scope));
-            } else if (t.kind == TaskKind::kKernel) {
-              const ExecContext ctx{rc.platform, g,
-                                    staged.valid ? &staged.view : nullptr};
-              const double ts = trace_now(rc);
-              WallTimer w;
-              const double predicted = t.kernel(ctx);
-              const double wall = w.seconds();
-              stats.compute += wall;
-              stats.predicted_compute += predicted;
-              stats.scope_compute[t.scope] += wall;
-              stats.scope_rows[t.scope] += t.owned_rows;
-              kernel_seconds_hist().record_seconds(wall);
-              trace_op(rc, g, 0, sim::Phase::kCompute, ts, wall,
-                       kernel_label(t));
-            }
-          }
-        }
-        if (ran && !cg.cancelled()) stats.end = rc.clock.seconds();
-      } catch (...) {
-        cg.capture();
+  // Blocks until every task in `ids` is done. Scans from the back: the
+  // latest producers finish last, so a fence over many lane tasks costs
+  // about one wakeup per GPU. False = cancelled.
+  bool wait_for(std::span<const std::size_t> ids, std::size_t slot) {
+    Waiter& w = waiters_[slot];
+    std::unique_lock lock(mu_);
+    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+      while (!done_[*it] && !cancelled()) {
+        w.on = *it;
+        w.cv.wait(lock);
       }
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
-// Dependency-driven executor for graph-scheduled plans (Plan::graph):
-// one thread per GPU lane runs that lane's tasks in lane order, and one
-// collective-engine thread runs the gather and host-op tasks in plan
-// order. Cross-thread edges (a kernel waiting on the previous link's
-// gather/solve, a gather waiting on its producer kernels) synchronise on
-// per-task completion flags — so tensor A's next mode starts the moment
-// its own factors land, while tensor B's lanes keep streaming.
-//
-// Streamer order is safe without a dispatch lock: every streamer belongs
-// to exactly one (chain, link, GPU) lane, and that lane's tasks run on
-// one thread in lane order.
-void run_plan_graph_host(RunContext& rc, ExecReport& report) {
-  Plan& plan = rc.plan;
-  const int m = rc.platform.num_gpus();
-  const std::size_t scopes = plan.num_scopes();
-
-  std::vector<char> done(plan.tasks.size(), 0);
-  std::mutex mu;
-  std::condition_variable cv;
-  CancelGroup& cg = rc.cg;
-
-  auto mark_done = [&](std::size_t id) {
-    {
-      std::lock_guard lock(mu);
-      done[id] = 1;
     }
-    cv.notify_all();
-  };
-  // Blocks until every dep has completed (same-lane deps are done by lane
-  // order; this really waits on cross-thread edges). False = cancelled.
-  auto wait_deps = [&](const std::vector<std::size_t>& deps) {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] {
-      if (cg.cancelled()) return true;
-      for (const std::size_t d : deps) {
-        if (!done[d]) return false;
-      }
-      return true;
-    });
-    return !cg.cancelled();
-  };
+    return !cancelled();
+  }
 
-  std::vector<std::vector<std::size_t>> lanes(static_cast<std::size_t>(m));
-  std::vector<std::size_t> globals;  // gathers + host ops, plan order
-  for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
-    const Task& t = plan.tasks[id];
-    if (t.kind == TaskKind::kAllGather || t.kind == TaskKind::kHostOp) {
-      globals.push_back(id);
-    } else {
-      assert(t.kind != TaskKind::kBarrier && "graph plans carry no barriers");
-      assert(t.gpu >= 0 && t.gpu < m && "graph lanes must be static");
-      lanes[static_cast<std::size_t>(t.gpu)].push_back(id);
+  void mark_done(std::size_t id) {
+    std::lock_guard lock(mu_);
+    done_[id] = 1;
+    for (auto& w : waiters_) {
+      if (w.on == id) w.cv.notify_one();
     }
   }
 
-  std::vector<LaneStats> stats(static_cast<std::size_t>(m));
-  for (auto& s : stats) {
-    s.scope_compute.assign(scopes, 0.0);
-    s.scope_rows.assign(scopes, 0);
-    s.scope_start.assign(scopes, -1.0);
-    s.scope_finish.assign(scopes, -1.0);
+  // Call from a catch block: records the in-flight exception (first
+  // writer wins, so it is the earliest) and wakes every engine to unwind.
+  void fail() noexcept {
+    std::lock_guard lock(mu_);
+    if (!error_) error_ = std::current_exception();
+    cancel_.store(true, std::memory_order_relaxed);
+    for (auto& w : waiters_) w.cv.notify_all();
   }
-  // Rows each lane's kernels have produced per scope, read by the gather
-  // thread once the producer kernels' done flags are up (the mark_done /
-  // wait_deps lock pair orders the writes before the read).
-  std::vector<std::vector<std::uint64_t>> rows_live(
-      scopes, std::vector<std::uint64_t>(static_cast<std::size_t>(m), 0));
 
-  auto run_lane = [&](int g) {
-    auto& ls = stats[static_cast<std::size_t>(g)];
-    io::ShardStreamer::View view;
-    bool have_view = false;
-    DeviceBuffer staged;
-    std::vector<unsigned char> bounce_src, bounce_dst;
-    for (std::size_t id : lanes[static_cast<std::size_t>(g)]) {
-      if (cg.cancelled()) return;
-      AMPED_FAULT_POINT("host.lane");
-      Task& t = plan.tasks[id];
+  // Folds the per-task stamps into the report and the trace. Trace events
+  // land on the shared log's clock, so events from every plan run in one
+  // job share one monotone time base, on the rows the simulator uses:
+  // engine 0 = compute, 1 = copy, device -1 = coordinator.
+  void finish_report() {
+    const std::size_t scopes = plan_.num_scopes();
+    const auto m = static_cast<std::size_t>(m_);
+    report_.per_gpu_compute.assign(m, 0.0);
+    report_.per_gpu_predicted_compute.assign(m, 0.0);
+    report_.scope_gpu_compute.assign(scopes, std::vector<double>(m, 0.0));
+    report_.scope_kernel_start.assign(scopes, -1.0);
+    report_.scope_kernel_finish.assign(scopes, -1.0);
+    const double trace_base =
+        trace_ != nullptr ? trace_->host_now() - clock_.seconds() : 0.0;
+    auto& kernel_seconds = metrics::histogram("exec.host.kernel_seconds");
+    auto gather = report_.gather_edges.begin();
+    for (std::size_t id = 0; id < plan_.tasks.size(); ++id) {
+      const Task& t = plan_.tasks[id];
+      const double el = finish_[id] - start_[id];
+      const auto g = static_cast<std::size_t>(std::max(gpu_of_[id], 0));
+      sim::Phase phase = sim::Phase::kHostCompute;
+      std::string label;
       switch (t.kind) {
-        case TaskKind::kSpillFetch: {
-          const double ts = trace_now(rc);
-          WallTimer w;
-          view = plan.streamers[t.streamer]->acquire(t.stream_pos);
-          have_view = true;
-          const double el = w.seconds();
-          ls.fetch += el;
-          trace_op(rc, g, 1, sim::Phase::kHostCompute, ts, el,
-                   "fetch pos" + std::to_string(t.stream_pos));
+        case TaskKind::kSpillFetch:
+          report_.wall_spill_fetch += el;
+          if (trace_) label = "fetch pos" + std::to_string(t.stream_pos);
           break;
-        }
-        case TaskKind::kH2D: {
-          const double ts = trace_now(rc);
-          WallTimer w;
-          if (annotated(t)) {
-            assert(have_view && "annotated H2D with no stream view");
-            stage_counted(rc, view, t, staged, ls);
-          } else {
-            staged.valid = false;
-            ls.predicted_h2d += rc.platform.h2d_seconds(t.transfer_bytes);
-            ls.predicted_h2d_fluid +=
-                rc.platform.h2d_seconds(t.transfer_bytes, 1);
+        case TaskKind::kH2D:
+          report_.wall_h2d += el;
+          report_.predicted_h2d += platform_.h2d_seconds(t.transfer_bytes);
+          report_.predicted_h2d_fluid += predicted_[id];
+          phase = sim::Phase::kHostToDevice;
+          if (trace_) {
+            label = "h2d scope" + std::to_string(t.scope) + " [" +
+                    std::to_string(t.payload_begin) + "," +
+                    std::to_string(t.payload_end) + ")";
           }
-          const double el = w.seconds();
-          ls.h2d += el;
-          trace_op(rc, g, 1, sim::Phase::kHostToDevice, ts, el, h2d_label(t));
           break;
-        }
-        case TaskKind::kD2H: {
-          const double ts = trace_now(rc);
-          WallTimer w;
-          bounce_src.resize(t.transfer_bytes);
-          bounce_dst.resize(t.transfer_bytes);
-          if (t.transfer_bytes) {
-            std::memcpy(bounce_dst.data(), bounce_src.data(),
-                        t.transfer_bytes);
-          }
-          const double el = w.seconds();
-          ls.d2h += el;
-          trace_op(rc, g, 0, sim::Phase::kDeviceToHost, ts, el,
-                   "d2h scope" + std::to_string(t.scope));
+        case TaskKind::kD2H:
+          report_.wall_d2h += el;
+          phase = sim::Phase::kDeviceToHost;
+          if (trace_) label = "d2h scope" + std::to_string(t.scope);
           break;
-        }
         case TaskKind::kKernel: {
-          // The cross-link edge: block until the previous link's gather /
-          // solve has published the factor this grid reads.
-          if (!wait_deps(t.deps)) return;
-          const ExecContext ctx{rc.platform, g,
-                                staged.valid ? &staged.view
-                                             : (have_view ? &view : nullptr)};
-          const double ts = trace_now(rc);
-          const double span_start = rc.clock.seconds();
-          WallTimer w;
-          const double predicted = t.kernel(ctx);
-          const double wall = w.seconds();
-          ls.compute += wall;
-          ls.predicted_compute += predicted;
-          ls.scope_compute[t.scope] += wall;
-          ls.scope_rows[t.scope] += t.owned_rows;
-          rows_live[t.scope][static_cast<std::size_t>(g)] += t.owned_rows;
-          if (ls.scope_start[t.scope] < 0.0) {
-            ls.scope_start[t.scope] = span_start;
-          }
-          ls.scope_finish[t.scope] = span_start + wall;
-          kernel_seconds_hist().record_seconds(wall);
-          trace_op(rc, g, 0, sim::Phase::kCompute, ts, wall, kernel_label(t));
+          report_.per_gpu_compute[g] += el;
+          report_.per_gpu_predicted_compute[g] += predicted_[id];
+          report_.scope_gpu_compute[t.scope][g] += el;
+          auto& first = report_.scope_kernel_start[t.scope];
+          if (first < 0.0 || start_[id] < first) first = start_[id];
+          auto& last = report_.scope_kernel_finish[t.scope];
+          last = std::max(last, finish_[id]);
+          kernel_seconds.record_seconds(el);
+          phase = sim::Phase::kCompute;
+          if (trace_ && t.labelled) label = shard_label(t);
           break;
         }
-        default:
-          assert(false && "global task on a graph lane");
+        case TaskKind::kBarrier:
+          phase = sim::Phase::kSync;
+          label = "barrier";
+          break;
+        case TaskKind::kAllGather:
+          report_.wall_allgather += el;
+          gather->seconds = el;
+          gather->finish = finish_[id];
+          ++gather;
+          phase = sim::Phase::kPeerToPeer;
+          if (trace_) {
+            label = "gather-edge scope" + std::to_string(t.scope) + " mode" +
+                    std::to_string(t.mode);
+          }
+          break;
+        case TaskKind::kHostOp:
+          report_.wall_host_op += el;
+          label = "host op";
+          break;
       }
-      mark_done(id);
+      if (trace_ != nullptr) {
+        trace_->record({.device = on_coordinator(t) ? -1 : gpu_of_[id],
+                        .engine = on_copy_engine(t) ? 1 : 0,
+                        .phase = phase,
+                        .start_s = trace_base + start_[id],
+                        .duration_s = el,
+                        .label = std::move(label)});
+      }
     }
-    ls.end = rc.clock.seconds();
-  };
 
-  auto run_globals = [&] {
-    for (std::size_t id : globals) {
-      Task& t = plan.tasks[id];
-      if (!wait_deps(t.deps)) return;
-      if (t.kind == TaskKind::kAllGather) {
-        // Factor mirrors are shared host memory: the gather contributes
-        // its edge and its books, not a copy (see the phase path below).
-        const double ts = trace_now(rc);
-        const double start = rc.clock.seconds();
-        WallTimer w;
-        std::uint64_t part_total = 0;
-        for (int g = 0; g < m; ++g) {
-          part_total +=
-              rows_live[t.scope][static_cast<std::size_t>(g)] * t.row_bytes;
-        }
-        const std::uint64_t bytes =
-            m <= 1 ? 0
-                   : (t.allgather == AllGatherAlgo::kHostStaged
-                          ? part_total * (1 + static_cast<std::uint64_t>(m))
-                          : part_total * static_cast<std::uint64_t>(m - 1));
-        const double el = w.seconds();
-        report.wall_allgather += el;
-        report.gather_edges.push_back(
-            ExecReport::GatherEdge{.scope = t.scope,
-                                   .mode = t.mode,
-                                   .bytes = bytes,
-                                   .seconds = el,
-                                   .start = start,
-                                   .finish = start + el});
-        trace_op(rc, -1, 1, sim::Phase::kPeerToPeer, ts, el,
-                 "gather-edge scope" + std::to_string(t.scope) + " mode" +
-                     std::to_string(t.mode));
-      } else {
-        const double ts = trace_now(rc);
-        WallTimer w;
-        t.host_op(rc.platform);
-        const double el = w.seconds();
-        report.wall_host_op += el;
-        trace_op(rc, -1, 0, sim::Phase::kHostCompute, ts, el, "host op");
+    // wall_sync, one definition for every plan: at each join — a
+    // coordinator task, over its edges into lane tasks, and the end of the
+    // run, over the lane tasks after the last coordinator task — every GPU
+    // feeding the join waits from its last feeding task's finish until
+    // the join's last feeding task finishes.
+    std::vector<double> last(m);
+    auto join = [&](auto&& ids) {
+      std::fill(last.begin(), last.end(), -1.0);
+      double all = -1.0;
+      for (const std::size_t id : ids) {
+        if (on_coordinator(plan_.tasks[id])) continue;
+        auto& l = last[static_cast<std::size_t>(gpu_of_[id])];
+        l = std::max(l, finish_[id]);
+        all = std::max(all, finish_[id]);
       }
-      mark_done(id);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(m) + 1);
-  for (int g = 0; g < m; ++g) {
-    if (lanes[static_cast<std::size_t>(g)].empty()) continue;
-    threads.emplace_back([&, g] {
-      try {
-        run_lane(g);
-      } catch (...) {
-        cg.capture();
-        cv.notify_all();
+      for (const double l : last) {
+        if (l >= 0.0) report_.wall_sync += all - l;
       }
-    });
+    };
+    for (const std::size_t id : coordinator_tasks_) join(deps(id));
+    join(std::views::iota(
+        coordinator_tasks_.empty() ? 0 : coordinator_tasks_.back() + 1,
+        plan_.tasks.size()));
+    report_.wall_seconds = clock_.seconds();
   }
-  threads.emplace_back([&] {
-    try {
-      run_globals();
-    } catch (...) {
-      cg.capture();
-      cv.notify_all();
-    }
-  });
-  for (auto& th : threads) th.join();
-  cg.rethrow_if_any();
 
-  const double flush_end = rc.clock.seconds();
-  report.scope_kernel_start.assign(scopes, -1.0);
-  report.scope_kernel_finish.assign(scopes, -1.0);
-  for (int g = 0; g < m; ++g) {
-    const auto& s = stats[static_cast<std::size_t>(g)];
-    const auto gi = static_cast<std::size_t>(g);
-    report.per_gpu_compute[gi] += s.compute;
-    report.per_gpu_predicted_compute[gi] += s.predicted_compute;
-    report.wall_spill_fetch += s.fetch;
-    report.wall_h2d += s.h2d;
-    report.wall_d2h += s.d2h;
-    report.predicted_h2d += s.predicted_h2d;
-    report.predicted_h2d_fluid += s.predicted_h2d_fluid;
-    for (std::size_t sc = 0; sc < scopes; ++sc) {
-      report.scope_gpu_compute[sc][gi] += s.scope_compute[sc];
-      report.scope_owned_rows[sc][gi] += s.scope_rows[sc];
-      if (s.scope_start[sc] >= 0.0 &&
-          (report.scope_kernel_start[sc] < 0.0 ||
-           s.scope_start[sc] < report.scope_kernel_start[sc])) {
-        report.scope_kernel_start[sc] = s.scope_start[sc];
-      }
-      report.scope_kernel_finish[sc] =
-          std::max(report.scope_kernel_finish[sc], s.scope_finish[sc]);
-    }
-    if (s.end >= 0.0) {
-      report.wall_sync += std::max(0.0, flush_end - s.end);
-    }
-  }
-}
+  sim::Platform& platform_;
+  Plan& plan_;
+  const int m_;
+  const WallTimer clock_;  // run clock: stamps, spans and gather edges
+  sim::TraceLog* trace_;   // the platform's attached trace, or nullptr
+  ExecReport report_;
+  bool serial_ = false;
+  bool two_engines_ = false;  // each GPU runs a copy and a compute engine
+  std::size_t depth_ = 1;     // staging ring depth
+
+  // Edges in CSR form: Task::deps plus, for legacy (non-graph) plans,
+  // the derived fences.
+  std::vector<std::size_t> dep_begin_;
+  std::vector<std::size_t> edges_;
+  std::vector<std::size_t> coordinator_tasks_;  // plan order
+  std::vector<std::vector<Item>> items_;        // per GPU, plan order
+  // kAnyGpu dispatch units ([begin, end) plan ranges) and, per run of
+  // consecutive units, the end of the run in units_.
+  std::vector<std::pair<std::size_t, std::size_t>> units_;
+  std::vector<std::size_t> run_end_;
+  std::vector<metrics::Counter*> dispatched_;
+  std::mutex dispatch_;  // guards the shared cursor; in-order acquire/stage
+  std::size_t next_unit_ = 0;
+
+  std::vector<Lane> lanes_;
+  std::vector<int> gpu_of_;        // GPU each lane task was bound to
+  std::vector<int> slot_of_;       // ring slot of an H2D / kernel, -1 = none
+  std::vector<double> start_;      // run-clock stamps of each task
+  std::vector<double> finish_;
+  std::vector<double> predicted_;  // cost-model seconds (kernels, H2Ds)
+  std::atomic<int> streaming_{0};  // lanes inside a staging copy right now
+
+  // Dependency state. Each engine sleeps on its own condition variable,
+  // naming the one task it waits for, so a completion wakes only the
+  // engines that need it.
+  struct Waiter {
+    std::condition_variable cv;
+    std::size_t on = kNone;
+  };
+  static constexpr std::size_t kBound = kNone - 1;  // waits for Lane::bound
+  std::mutex mu_;
+  std::vector<char> done_;
+  std::vector<Waiter> waiters_;
+  std::atomic<bool> cancel_{false};
+  std::exception_ptr error_;
+};
 
 }  // namespace
 
 ExecReport run_plan_host_parallel(sim::Platform& platform, Plan& plan) {
-  const int m = platform.num_gpus();
-  const std::size_t scopes = plan.num_scopes();
-  ExecReport report;
-  report.per_gpu_compute.assign(static_cast<std::size_t>(m), 0.0);
-  report.per_gpu_predicted_compute.assign(static_cast<std::size_t>(m), 0.0);
-  report.scope_gpu_compute.assign(
-      scopes, std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  report.scope_owned_rows.assign(
-      scopes, std::vector<std::uint64_t>(static_cast<std::size_t>(m), 0));
-
-  const WallTimer run_clock;
-  CancelGroup cg;
-  std::atomic<int> streaming_lanes{0};
-  RunContext rc{platform, plan,           run_clock,
-                cg,       platform.trace(), streaming_lanes};
-
-  if (plan.graph) {
-    run_plan_graph_host(rc, report);
-    report.wall_seconds = run_clock.seconds();
-    return report;
-  }
-
-  auto make_stats = [&] {
-    LaneStats s;
-    s.scope_compute.assign(scopes, 0.0);
-    s.scope_rows.assign(scopes, 0);
-    return s;
-  };
-
-  // Folds one joined lane's books into the report; `flush_end` converts
-  // the lane's finish offset into its barrier stall.
-  auto merge = [&](int gpu, const LaneStats& s, double flush_end) {
-    const auto g = static_cast<std::size_t>(gpu);
-    report.per_gpu_compute[g] += s.compute;
-    report.per_gpu_predicted_compute[g] += s.predicted_compute;
-    report.wall_spill_fetch += s.fetch;
-    report.wall_h2d += s.h2d;
-    report.wall_d2h += s.d2h;
-    report.predicted_h2d += s.predicted_h2d;
-    report.predicted_h2d_fluid += s.predicted_h2d_fluid;
-    for (std::size_t sc = 0; sc < scopes; ++sc) {
-      report.scope_gpu_compute[sc][g] += s.scope_compute[sc];
-      report.scope_owned_rows[sc][g] += s.scope_rows[sc];
-    }
-    if (s.end >= 0.0) {
-      report.wall_sync += std::max(0.0, flush_end - s.end);
-    }
-  };
-
-  std::vector<std::size_t> segment;
-  auto flush = [&] {
-    if (segment.empty()) return;
-    if (plan.tasks[segment.front()].gpu == kAnyGpu) {
-      // Both dynamic disciplines realise as the shared unit queue: the
-      // look-ahead variant's copy/compute overlap emerges from worker g
-      // staging its next unit while worker h computes.
-      std::vector<LaneStats> per_gpu(static_cast<std::size_t>(m),
-                                     make_stats());
-      try {
-        run_dynamic(rc, segment, per_gpu);
-      } catch (...) {
-        // Serial-fallback errors arrive synchronously; route them through
-        // the cancel group so every failure exits the same way.
-        cg.capture();
-      }
-      cg.rethrow_if_any();
-      const double flush_end = run_clock.seconds();
-      for (int g = 0; g < m; ++g) {
-        merge(g, per_gpu[static_cast<std::size_t>(g)], flush_end);
-      }
-      segment.clear();
-      return;
-    }
-    std::vector<std::vector<std::size_t>> lanes(static_cast<std::size_t>(m));
-    for (std::size_t id : segment) {
-      const int gpu = plan.tasks[id].gpu;
-      assert(gpu >= 0 && gpu < m && "mixed dynamic/static segment");
-      lanes[static_cast<std::size_t>(gpu)].push_back(id);
-    }
-    std::vector<int> active;
-    for (int g = 0; g < m; ++g) {
-      if (!lanes[static_cast<std::size_t>(g)].empty()) active.push_back(g);
-    }
-    std::vector<LaneStats> stats(active.size(), make_stats());
-    auto run_lane = [&](std::size_t i) {
-      const int g = active[i];
-      const auto& ids = lanes[static_cast<std::size_t>(g)];
-      if (plan.pipelined) {
-        run_lane_pipelined(rc, g, ids, stats[i]);
-      } else {
-        run_lane_sequential(rc, g, ids, stats[i]);
-      }
-    };
-    if (plan.parallel_lanes && active.size() > 1 && host_parallelism() > 1) {
-      // Dedicated threads, not the global pool: lane bodies block (a
-      // streamer acquire waits on pool read-ahead tasks) and pipelined
-      // lanes spawn their own copy engines; keeping lanes off the pool
-      // leaves it free to be the streamers' read-ahead executor.
-      std::vector<std::thread> threads;
-      threads.reserve(active.size());
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        threads.emplace_back([&, i] {
-          try {
-            run_lane(i);
-          } catch (...) {
-            rc.cg.capture();
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-    } else {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        try {
-          run_lane(i);
-        } catch (...) {
-          rc.cg.capture();
-          break;
-        }
-      }
-    }
-    cg.rethrow_if_any();
-    const double flush_end = run_clock.seconds();
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      merge(active[i], stats[i], flush_end);
-    }
-    segment.clear();
-  };
-
-  for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
-    Task& t = plan.tasks[id];
-    switch (t.kind) {
-      case TaskKind::kBarrier: {
-        // Joining the lane threads in flush() IS the barrier.
-        const double ts = trace_now(rc);
-        WallTimer w;
-        flush();
-        trace_op(rc, -1, 0, sim::Phase::kSync, ts, w.seconds(), "barrier");
-        break;
-      }
-      case TaskKind::kAllGather: {
-        flush();
-        // Factor mirrors are shared host memory, so there is nothing to
-        // exchange — the task contributes its ordering edge (after the
-        // barrier, before the next segment) and its measured cost. A
-        // device port replaces this branch with real peer copies sized
-        // scope_owned_rows[scope][g] * row_bytes, like the simulator.
-        const double ts = trace_now(rc);
-        const double start = run_clock.seconds();
-        WallTimer w;
-        std::uint64_t part_total = 0;
-        for (int g = 0; g < m; ++g) {
-          part_total +=
-              report.scope_owned_rows[t.scope][static_cast<std::size_t>(g)] *
-              t.row_bytes;
-        }
-        const std::uint64_t bytes =
-            m <= 1 ? 0
-                   : (t.allgather == AllGatherAlgo::kHostStaged
-                          ? part_total * (1 + static_cast<std::uint64_t>(m))
-                          : part_total * static_cast<std::uint64_t>(m - 1));
-        const double el = w.seconds();
-        report.wall_allgather += el;
-        report.gather_edges.push_back(
-            ExecReport::GatherEdge{.scope = t.scope,
-                                   .mode = t.mode,
-                                   .bytes = bytes,
-                                   .seconds = el,
-                                   .start = start,
-                                   .finish = start + el});
-        trace_op(rc, -1, 0, sim::Phase::kPeerToPeer, ts, el,
-                 "allgather scope" + std::to_string(t.scope));
-        break;
-      }
-      case TaskKind::kHostOp: {
-        flush();
-        const double ts = trace_now(rc);
-        WallTimer w;
-        t.host_op(platform);
-        const double el = w.seconds();
-        report.wall_host_op += el;
-        trace_op(rc, -1, 0, sim::Phase::kHostCompute, ts, el, "host op");
-        break;
-      }
-      default:
-        segment.push_back(id);
-    }
-  }
-  flush();
-  report.wall_seconds = run_clock.seconds();
-  return report;
+  return Interpreter(platform, plan).run();
 }
 
 }  // namespace amped::exec

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <exception>
 #include <queue>
-#include <span>
 #include <utility>
 
 #include "exec/host_backend.hpp"
@@ -33,21 +32,6 @@ std::vector<metrics::Counter*> dispatch_counters(int m) {
                                          std::to_string(g)));
   }
   return counters;
-}
-
-// Total bytes an all-gather of these partitions puts on the wire, matching
-// allgather_factor_rows' bookkeeping: ring and direct send every partition
-// to M-1 peers; host-staged moves each partition D2H once and broadcasts
-// the concatenation to all M GPUs.
-std::uint64_t allgather_bytes(int m, std::span<const std::uint64_t> part_bytes,
-                              AllGatherAlgo algo) {
-  std::uint64_t total = 0;
-  for (const auto p : part_bytes) total += p;
-  if (m <= 1) return 0;
-  if (algo == AllGatherAlgo::kHostStaged) {
-    return total + static_cast<std::uint64_t>(m) * total;
-  }
-  return static_cast<std::uint64_t>(m - 1) * total;
 }
 
 // Dependency-driven interpreter for graph-scheduled plans (Plan::graph).
@@ -163,7 +147,7 @@ ExecReport run_plan_graph(sim::Platform& platform, Plan& plan) {
               t.row_bytes;
         }
         duration[id] = allgather_seconds(platform, part_bytes, t.allgather);
-        edge_bytes[id] = allgather_bytes(m, part_bytes, t.allgather);
+        edge_bytes[id] = allgather_bytes(part_bytes, t.allgather);
         gather_total += duration[id];
         break;
       }

@@ -161,9 +161,10 @@ struct Plan {
   // Graph-scheduled plan (exec/compose.hpp compose_graph): all-gathers
   // are dependency edges (Task::deps names their kernel producers, and
   // downstream kernels name the gather) instead of plan-suffix phases,
-  // and the executor runs the plan with the dependency-driven interpreter
-  // rather than the segment/flush loop. Legacy plans (graph == false) keep
-  // their bit-identical pre-engine semantics untouched.
+  // and the simulator runs the plan with its dependency-driven
+  // interpreter rather than the segment/flush loop. Legacy plans (graph
+  // == false) keep their bit-identical pre-engine semantics untouched;
+  // the host backend derives their fences as edges.
   bool graph = false;
   // Row-ownership scopes; Task::scope indexes this. Empty means one
   // anonymous scope (solo plans lowered before composition existed).
@@ -225,7 +226,12 @@ struct ExecReport {
   double wall_spill_fetch = 0.0; // summed stream-view acquisition
   double wall_h2d = 0.0;         // summed payload staging copies
   double wall_d2h = 0.0;         // summed result copy-back
-  double wall_sync = 0.0;        // summed barrier stalls (flush - lane end)
+  // Summed join stalls, one definition for every plan: at each join (a
+  // barrier, all-gather or host op over its edges into lane tasks, and
+  // the run's end over the lane tasks after the last of those), each GPU
+  // feeding it waits from its last feeding task's finish until the
+  // join's last feeding task finishes.
+  double wall_sync = 0.0;
   double wall_allgather = 0.0;   // summed all-gather steps
   double wall_host_op = 0.0;     // summed host-side ops
   // Modelled EC seconds per GPU for the kernels each GPU actually ran

@@ -409,6 +409,8 @@ class DynamicQueueScheduler : public Scheduler {
     plan.mode = in.mode;
     plan.scopes = {mode_scope(in)};
     plan.pipelined = lookahead_;
+    // Shards own disjoint output rows, whichever GPU takes them.
+    plan.parallel_lanes = true;
     std::vector<std::size_t> all_ids(copy.partition.shards.size());
     std::iota(all_ids.begin(), all_ids.end(), std::size_t{0});
     plan.streamers.push_back(make_streamer(copy, all_ids));

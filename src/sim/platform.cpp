@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace amped::sim {
 
@@ -17,13 +19,23 @@ DeviceSpec scaled_spec(DeviceSpec spec, double scale) {
   spec.kernel_launch_s /= scale;
   return spec;
 }
+
+PlatformConfig validated(PlatformConfig config) {
+  if (config.num_gpus < 1) {
+    throw std::invalid_argument("Platform: num_gpus must be >= 1 (got " +
+                                std::to_string(config.num_gpus) + ")");
+  }
+  if (!(config.workload_scale >= 1.0)) {
+    throw std::invalid_argument("Platform: workload_scale must be >= 1 (got " +
+                                std::to_string(config.workload_scale) + ")");
+  }
+  return config;
+}
 }  // namespace
 
 Platform::Platform(PlatformConfig config)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       host_cost_(scaled_spec(config_.host, config_.workload_scale)) {
-  assert(config_.num_gpus >= 1);
-  assert(config_.workload_scale >= 1.0);
   gpus_.reserve(static_cast<std::size_t>(config_.num_gpus));
   gpu_costs_.reserve(static_cast<std::size_t>(config_.num_gpus));
   for (int i = 0; i < config_.num_gpus; ++i) {

@@ -44,6 +44,7 @@ struct PlatformConfig {
 
 class Platform {
  public:
+  // Throws std::invalid_argument when num_gpus < 1 or workload_scale < 1.
   explicit Platform(PlatformConfig config);
 
   int num_gpus() const { return static_cast<int>(gpus_.size()); }

@@ -11,7 +11,7 @@
 //
 // Both backends write the same rows for the same plan: the simulator
 // records modelled timestamps, the host backend records wall-clock
-// timestamps measured on its lane/copy-engine/worker threads (host_now()
+// timestamps measured on its compute and copy engine threads (host_now()
 // gives seconds since the log was created, so events from many plan runs
 // in one ALS share a monotone clock). Loading the two files side by side
 // in Perfetto shows modelled vs measured timelines with identical row and
@@ -47,7 +47,7 @@ class TraceLog {
       : capacity_(capacity),
         origin_(std::chrono::steady_clock::now()) {}
 
-  // Thread-safe: host-backend lane threads record concurrently.
+  // Thread-safe: any number of threads may record concurrently.
   void record(TraceEvent event);
 
   // Wall-clock seconds since this log was created — the time base for

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "core/mttkrp.hpp"
@@ -133,6 +134,16 @@ void apply_common_flags(const CliArgs& args, MttkrpOptions* mttkrp) {
   }
   mttkrp->pipelined_streaming =
       args.get_bool("pipelined", mttkrp->pipelined_streaming);
+}
+
+int gpu_count_flag(const CliArgs& args, const char* usage) {
+  const std::int64_t gpus = args.get_int("gpus", 4);
+  if (gpus < 1 || gpus > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --gpus must be a count >= 1 (got %s)\n%s",
+                 args.get("gpus", "").c_str(), usage);
+    std::exit(2);
+  }
+  return static_cast<int>(gpus);
 }
 
 }  // namespace amped

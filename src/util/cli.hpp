@@ -56,4 +56,9 @@ void apply_common_flags(const CliArgs& args);
 // listing the valid names.
 void apply_common_flags(const CliArgs& args, MttkrpOptions* mttkrp);
 
+// Reads `--gpus N` (default 4). A count below 1 is a usage
+// error: prints the message and `usage` to stderr and exits 2, instead of
+// running on a degenerate platform.
+int gpu_count_flag(const CliArgs& args, const char* usage);
+
 }  // namespace amped

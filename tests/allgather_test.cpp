@@ -96,5 +96,24 @@ TEST(AllGatherTest, AlgoNames) {
   EXPECT_EQ(to_string(AllGatherAlgo::kHostStaged), "host-staged");
 }
 
+TEST(AllGatherTest, BytesFormulaMatchesExchangeBookkeeping) {
+  // allgather_bytes is the one wire-byte formula the executors report; it
+  // must equal what the clock-charging exchange actually books, for every
+  // algorithm, with uneven parts (including an empty one) at 1-4 GPUs.
+  for (const auto algo : {AllGatherAlgo::kRing, AllGatherAlgo::kDirect,
+                          AllGatherAlgo::kHostStaged}) {
+    for (int m = 1; m <= 4; ++m) {
+      std::vector<std::uint64_t> parts;
+      for (int g = 0; g < m; ++g) {
+        parts.push_back(g == 1 ? 0 : (std::uint64_t{1} << 16) * (g + 1) + 24);
+      }
+      auto platform = sim::make_default_platform(m);
+      const auto report = allgather_factor_rows(platform, parts, algo);
+      EXPECT_EQ(allgather_bytes(parts, algo), report.bytes_moved)
+          << to_string(algo) << " on " << m << " GPUs";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace amped

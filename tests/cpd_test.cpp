@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "core/cpd.hpp"
 #include "tensor/generator.hpp"
@@ -136,6 +137,55 @@ TEST(CpdTest, TensorNormSq) {
   t.push_back(std::span<const index_t>(a.data(), 2), 3.0f);
   t.push_back(std::span<const index_t>(b.data(), 2), 4.0f);
   EXPECT_DOUBLE_EQ(tensor_norm_sq(t), 25.0);
+}
+
+TEST(CpdTest, TensorNormSqSumsRepeatedCoordinates) {
+  // A duplicate pair is one entry of value 3 + 1, as MTTKRP sees it.
+  CooTensor t({2, 2});
+  const std::array<index_t, 2> a{0, 0}, b{1, 1};
+  t.push_back(std::span<const index_t>(a.data(), 2), 3.0f);
+  t.push_back(std::span<const index_t>(a.data(), 2), 1.0f);
+  t.push_back(std::span<const index_t>(b.data(), 2), 4.0f);
+  EXPECT_DOUBLE_EQ(tensor_norm_sq(t), 32.0);
+}
+
+TEST(CpdTest, FitOnRepeatedCoordinatesMatchesCoalescedTensor) {
+  // Every third entry is split into two halves stored apart; the build
+  // sorts them next to each other. The fit must be that of the tensor
+  // with the halves merged back.
+  const auto input = low_rank_tensor(3, 33);
+  CooTensor split(input.dims());
+  std::vector<nnz_t> halved;
+  std::array<index_t, 3> c{};
+  for (nnz_t e = 0; e < input.nnz(); ++e) {
+    for (std::size_t m = 0; m < 3; ++m) c[m] = input.indices(m)[e];
+    const value_t v = input.values()[e];
+    const bool halve = e % 3 == 0;
+    split.push_back(std::span<const index_t>(c.data(), 3), halve ? v / 2 : v);
+    if (halve) halved.push_back(e);
+  }
+  for (const nnz_t e : halved) {
+    for (std::size_t m = 0; m < 3; ++m) c[m] = input.indices(m)[e];
+    split.push_back(std::span<const index_t>(c.data(), 3),
+                    input.values()[e] / 2);
+  }
+  CooTensor merged = split;
+  merged.sort_by_mode(0);
+  ASSERT_EQ(merged.coalesce(), halved.size());
+
+  CpdOptions opt;
+  opt.rank = 2;
+  opt.max_iterations = 5;
+  opt.tolerance = 0.0;
+  auto fit_of = [&](const CooTensor& t) {
+    auto platform = sim::make_default_platform(2);
+    AmpedBuildOptions build;
+    build.num_gpus = 2;
+    return cp_als(platform, AmpedTensor::build(t, build), opt).fit;
+  };
+  const double merged_fit = fit_of(merged);
+  EXPECT_GT(merged_fit, 0.5);
+  EXPECT_NEAR(fit_of(split), merged_fit, 1e-6);
 }
 
 }  // namespace

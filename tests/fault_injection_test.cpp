@@ -809,5 +809,55 @@ TEST_F(FaultInjectionTest, BatchResumeAfterCrashIsBitIdentical) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Host-backend graph plans
+
+// Threads alive in this process (Linux): engine threads must all be
+// joined when a cancelled run returns.
+std::size_t live_threads() {
+  const fs::path tasks = "/proc/self/task";
+  if (!fs::exists(tasks)) return 0;
+  return static_cast<std::size_t>(std::distance(fs::directory_iterator(tasks),
+                                                fs::directory_iterator{}));
+}
+
+TEST_F(FaultInjectionTest, HostGraphBatchFaultCancelsEveryEngine) {
+  // A windowed cpd_batch on the host backend runs one graph plan on copy
+  // and compute engine threads per GPU. A fault on either engine kind
+  // must surface as exactly one exception with every engine joined, and
+  // an unarmed rerun must still equal solo cp_als bit for bit.
+  const auto input_a = make_tensor(42, 3000);
+  const auto input_b = make_tensor(43, 2500);
+  const auto tensor_a = AmpedTensor::build(input_a, AmpedBuildOptions{});
+  const auto tensor_b = AmpedTensor::build(input_b, AmpedBuildOptions{});
+  const AmpedTensor* tensors[] = {&tensor_a, &tensor_b};
+  auto options = als_options();
+  options.max_iterations = 2;
+  const std::vector<CpdResult> solo = {run_als(tensor_a, options),
+                                       run_als(tensor_b, options)};
+
+  options.graph_window = 2;
+  options.mttkrp.backend = exec::ExecBackend::kHostParallel;
+  auto run_batch = [&] {
+    auto platform = sim::make_default_platform(4);
+    BatchReport report;
+    auto results = cpd_batch(platform, tensors, options, &report);
+    EXPECT_EQ(report.graph_dispatches, 1u);
+    return results;
+  };
+  const std::size_t threads_before = live_threads();
+  for (const char* site : {"host.lane", "host.copy"}) {
+    fault::FaultScope scope(site, {.nth = 3, .times = 1});
+    expect_fault_naming(site, [&] { (void)run_batch(); });
+    EXPECT_EQ(fault::fire_count(site), 1u) << site;
+    EXPECT_EQ(live_threads(), threads_before) << site;
+  }
+  const auto batched = run_batch();
+  ASSERT_EQ(batched.size(), solo.size());
+  for (std::size_t i = 0; i < solo.size(); ++i) {
+    expect_results_identical(batched[i], solo[i]);
+  }
+}
+
 }  // namespace
 }  // namespace amped

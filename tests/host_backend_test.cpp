@@ -17,10 +17,12 @@
 #include "core/cpd.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/backend.hpp"
+#include "exec/compose.hpp"
 #include "exec/scheduler.hpp"
 #include "io/memory_budget.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/reference_mttkrp.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace amped {
@@ -316,6 +318,72 @@ TEST(HostBackendTest, ComposedBatchBitIdentical) {
     }
     EXPECT_GT(host_report.total_seconds, 0.0) << what;
     EXPECT_EQ(host_report.steps.size(), 3u) << what;
+  }
+}
+
+TEST(HostBackendTest, MultiRunDynamicPlanBitIdentical) {
+  // Two dynamic plans over the same output cannot be proven disjoint, so
+  // compose() keeps both epilogues: [units][barrier][gather][units]
+  // [barrier][gather] — two kAnyGpu runs drawn from one shared cursor.
+  // A GPU that enters the second run early must not strand another still
+  // finishing its last unit of the first: every unit is dispatched
+  // exactly once and the output matches the simulator bitwise.
+  auto input = make_tensor(315, 20000);
+  Rng rng(316);
+  FactorSet factors(input.dims(), 8, rng);
+  AmpedBuildOptions build;
+  build.num_gpus = 4;
+  auto tensor = AmpedTensor::build(input, build);
+
+  for (auto policy : {SchedulingPolicy::kDynamicQueue,
+                      SchedulingPolicy::kDynamicLookahead}) {
+    MttkrpOptions options;
+    options.policy = policy;
+    const auto scheduler = exec::make_scheduler(options);
+    auto lower_pair = [&](sim::Platform& platform, DenseMatrix& out) {
+      const exec::ModeLowerInput in{
+          platform, tensor, 0, factors, out, options,
+          resolve_mttkrp_profile(options, tensor, 0, platform, 8)};
+      std::vector<exec::Plan> plans;
+      plans.push_back(scheduler->lower(in));
+      plans.push_back(scheduler->lower(in));
+      return exec::compose(plans);
+    };
+
+    auto sim_platform = sim::make_default_platform(4, 1000.0);
+    DenseMatrix sim_out(input.dim(0), 8);
+    auto sim_plan = lower_pair(sim_platform, sim_out);
+    exec::PlanExecutor(sim_platform).run(sim_plan);
+
+    std::size_t units = 0;
+    for (const auto& t : sim_plan.tasks) {
+      if (t.kind == exec::TaskKind::kKernel && t.gpu == exec::kAnyGpu) {
+        ++units;
+      }
+    }
+    ASSERT_GT(units, 8u) << "both runs need units to race over";
+    auto dispatched = [] {
+      std::uint64_t n = 0;
+      for (int g = 0; g < 4; ++g) {
+        n += metrics::counter("sched.host.units_dispatched.gpu" +
+                              std::to_string(g))
+                 .value();
+      }
+      return n;
+    };
+
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::string what =
+          to_string(policy) + " rep " + std::to_string(rep);
+      auto host_platform = sim::make_default_platform(4, 1000.0);
+      DenseMatrix host_out(input.dim(0), 8);
+      auto host_plan = lower_pair(host_platform, host_out);
+      const std::uint64_t before = dispatched();
+      exec::PlanExecutor(host_platform, exec::ExecBackend::kHostParallel)
+          .run(host_plan);
+      EXPECT_EQ(dispatched() - before, units) << what;
+      expect_bit_identical(sim_out, host_out, what);
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/cost_model.hpp"
@@ -174,6 +176,23 @@ TEST(CostModelTest, FactorReadEfficiencyCacheModel) {
   EXPECT_NEAR(eff, (1.0 + 3 * kCachedReadFraction) / 4.0, 1e-12);
   // No cache model: everything full price.
   EXPECT_DOUBLE_EQ(factor_read_efficiency(dims, 32, 0, 0), 1.0);
+}
+
+TEST(PlatformTest, RejectsDegenerateConfigurations) {
+  // Rejected in every build type, not by an assert: a platform with no
+  // GPUs must never run.
+  for (const int gpus : {0, -2}) {
+    PlatformConfig cfg;
+    cfg.num_gpus = gpus;
+    EXPECT_THROW(Platform{cfg}, std::invalid_argument) << gpus << " GPUs";
+  }
+  for (const double scale : {0.5, 0.0, std::nan("")}) {
+    PlatformConfig cfg;
+    cfg.workload_scale = scale;
+    EXPECT_THROW(Platform{cfg}, std::invalid_argument) << "scale " << scale;
+  }
+  EXPECT_THROW(make_default_platform(0), std::invalid_argument);
+  EXPECT_NO_THROW(make_default_platform(1));
 }
 
 TEST(PlatformTest, BarrierAlignsClocks) {
