@@ -20,7 +20,9 @@ visible PR over PR. Committed schema (version amped-bench-trajectory/1):
 
 Benchmarks that call SetItemsProcessed (every series in
 bench_host_throughput) report nnz/s; anything else falls back to wall
-milliseconds. Aggregate rows (mean/median/stddev) are skipped so repeated
+milliseconds. The "/real_time" suffix Google Benchmark appends to series
+measured in wall time is dropped, so a series keeps its name in the
+trajectory when it switches clocks. Aggregate rows (mean/median/stddev) are skipped so repeated
 runs stay comparable. Numbers from shared CI runners are noisy — the
 trajectory is trend material, not a gating threshold.
 """
@@ -35,7 +37,7 @@ def normalise(raw: dict) -> dict:
     for bench in raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        name = bench["name"]
+        name = bench["name"].replace("/real_time", "")
         if "items_per_second" in bench:
             metrics[name] = {"nnz_per_s": bench["items_per_second"]}
         else:

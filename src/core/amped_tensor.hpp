@@ -76,6 +76,11 @@ class AmpedTensor {
     // of a failed spill (null otherwise; fully-resident builds charge one
     // shared footprint reservation on the tensor instead).
     std::shared_ptr<io::BudgetReservation> reservation;
+    // Per-ISP run structure of this copy's shards, filled by the first
+    // kernel that runs each (shard, ISP size) and read by every later
+    // one (exec::make_shard_kernel). Shared: copies of the tensor hold
+    // the same sorted elements, hence the same entries.
+    std::shared_ptr<IspRunTable> isp_runs = std::make_shared<IspRunTable>();
 
     bool spilled() const { return spill != nullptr; }
   };

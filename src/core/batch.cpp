@@ -190,6 +190,7 @@ BatchReport mttkrp_batch(sim::Platform& platform,
                          std::span<const BatchWorkload> workloads,
                          std::vector<std::vector<DenseMatrix>>& outputs,
                          const MttkrpOptions& options) {
+  options.validate();
   BatchReport report;
   report.per_tensor_gpu_compute.assign(
       workloads.size(),
@@ -261,6 +262,7 @@ std::vector<CpdResult> cpd_batch(sim::Platform& platform,
                                  std::span<const AmpedTensor* const> tensors,
                                  const CpdOptions& options,
                                  BatchReport* report) {
+  options.mttkrp.validate();
   BatchReport local;
   local.per_tensor_gpu_compute.assign(
       tensors.size(),

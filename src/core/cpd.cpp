@@ -283,6 +283,7 @@ bool AlsState::load_checkpoint(const std::string& path) {
 
 CpdResult cp_als(sim::Platform& platform, const AmpedTensor& tensor,
                  const CpdOptions& options) {
+  options.mttkrp.validate();
   detail::AlsState state(tensor, options);
   const bool checkpointing = !options.checkpoint_path.empty();
   bool resumed = false;

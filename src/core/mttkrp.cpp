@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "exec/plan.hpp"
 #include "exec/scheduler.hpp"
 
 namespace amped {
+
+void MttkrpOptions::validate() const {
+  if (block_width == 0) {
+    throw std::invalid_argument("MttkrpOptions: block_width must be >= 1");
+  }
+}
 
 sim::KernelProfile resolve_mttkrp_profile(const MttkrpOptions& options,
                                           const AmpedTensor& tensor,
@@ -35,6 +42,7 @@ ModeBreakdown mttkrp_one_mode(sim::Platform& platform,
                               const AmpedTensor& tensor,
                               const FactorSet& factors, std::size_t mode,
                               DenseMatrix& out, const MttkrpOptions& options) {
+  options.validate();
   const int m = platform.num_gpus();
 
   assert(out.rows() == tensor.dims()[mode] && out.cols() == factors.rank());
@@ -126,6 +134,7 @@ MttkrpReport mttkrp_all_modes(sim::Platform& platform,
                               const FactorSet& factors,
                               std::vector<DenseMatrix>& outputs,
                               const MttkrpOptions& options) {
+  options.validate();
   MttkrpReport report;
   // Sized from the platform, not from what modes report: a mode may
   // involve fewer GPUs than the platform has (idle devices on a

@@ -63,6 +63,12 @@ struct MttkrpOptions {
       .flop_overhead = 1.0,
       .atomic_scale = 1.0,
   };
+
+  // Throws std::invalid_argument for options no kernel can run:
+  // block_width 0 gives the threadblock no threads, so every simulated
+  // time would come out non-finite. Every public MTTKRP/CPD entry point
+  // calls it before doing any work.
+  void validate() const;
 };
 
 // Per-mode timing decomposition (paper Fig. 7 categories).

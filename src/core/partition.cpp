@@ -41,6 +41,21 @@ SchedulingPolicy parse_policy(const std::string& name) {
       "weighted-static, cost-model, or dynamic-lookahead)");
 }
 
+RunStats count_runs(std::span<const index_t> sorted_indices) {
+  RunStats stats;
+  nnz_t run_len = 0;
+  for (std::size_t n = 0; n < sorted_indices.size(); ++n) {
+    if (n == 0 || sorted_indices[n] != sorted_indices[n - 1]) {
+      stats.max_run = std::max(stats.max_run, run_len);
+      ++stats.runs;
+      run_len = 0;
+    }
+    ++run_len;
+  }
+  stats.max_run = std::max(stats.max_run, run_len);
+  return stats;
+}
+
 nnz_t ModePartition::total_nnz() const {
   nnz_t total = 0;
   for (const auto& s : shards) total += s.nnz();
@@ -79,6 +94,7 @@ ModePartition build_mode_partition(const CooTensor& sorted, std::size_t mode,
     s.nnz_begin = cursor;
     while (cursor < idx.size() && idx[cursor] < s.index_end) ++cursor;
     s.nnz_end = cursor;
+    s.run_stats = count_runs(idx.subspan(s.nnz_begin, s.nnz()));
     part.shards.push_back(s);
   }
   assert(cursor == idx.size() && "tensor not sorted by the given mode");
@@ -195,28 +211,6 @@ ShardAssignment assign_shards_weighted(const ModePartition& partition,
   return out;
 }
 
-ShardRunStats compute_shard_run_stats(std::span<const index_t> mode_indices,
-                                      const Shard& shard) {
-  ShardRunStats stats;
-  if (shard.nnz() == 0) return stats;
-  assert(shard.nnz_end <= mode_indices.size());
-  index_t run_index = mode_indices[shard.nnz_begin];
-  nnz_t run_len = 0;
-  stats.runs = 1;
-  for (nnz_t n = shard.nnz_begin; n < shard.nnz_end; ++n) {
-    if (mode_indices[n] == run_index) {
-      ++run_len;
-    } else {
-      stats.max_run = std::max(stats.max_run, run_len);
-      ++stats.runs;
-      run_index = mode_indices[n];
-      run_len = 1;
-    }
-  }
-  stats.max_run = std::max(stats.max_run, run_len);
-  return stats;
-}
-
 std::vector<std::pair<nnz_t, nnz_t>> split_isps(const Shard& shard,
                                                 nnz_t isp_size) {
   assert(isp_size >= 1);
@@ -227,6 +221,36 @@ std::vector<std::pair<nnz_t, nnz_t>> split_isps(const Shard& shard,
     out.emplace_back(lo, std::min(n, lo + isp_size));
   }
   return out;
+}
+
+std::span<const IspRunStats> IspRunTable::find_or_scan(
+    std::size_t shard_id, nnz_t isp_size,
+    std::span<const index_t> shard_indices) {
+  const std::pair<std::size_t, nnz_t> key{shard_id, isp_size};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) return it->second;
+  }
+  // Scan outside the lock so lanes filling different shards do not
+  // serialise; a racing scan of the same key computes the same stats and
+  // the first insert wins.
+  assert(isp_size >= 1);
+  std::vector<IspRunStats> isps;
+  const nnz_t n = shard_indices.size();
+  isps.reserve(static_cast<std::size_t>((n + isp_size - 1) / isp_size));
+  for (nnz_t lo = 0; lo < n; lo += isp_size) {
+    const nnz_t len = std::min(n - lo, isp_size);
+    const RunStats rs = count_runs(shard_indices.subspan(lo, len));
+    isps.push_back({len, rs.runs, rs.max_run});
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.try_emplace(key, std::move(isps)).first->second;
+}
+
+std::size_t IspRunTable::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 }  // namespace amped

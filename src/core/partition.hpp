@@ -17,7 +17,11 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
+#include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/coo_tensor.hpp"
@@ -44,11 +48,25 @@ std::string to_string(SchedulingPolicy policy);
 // the accepted names on a typo.
 SchedulingPolicy parse_policy(const std::string& name);
 
+// Output-index run structure of a range of an output-sorted copy: how
+// many runs of equal output index it holds and the longest one. The
+// device-independent input to the cost model's EC pricing.
+struct RunStats {
+  nnz_t runs = 0;
+  nnz_t max_run = 0;
+};
+
+// One scan of `sorted_indices` (output-mode indices, grouped by value).
+RunStats count_runs(std::span<const index_t> sorted_indices);
+
 struct Shard {
   index_t index_begin = 0;  // output-mode index range [begin, end)
   index_t index_end = 0;
   nnz_t nnz_begin = 0;      // nonzero range [begin, end) in the sorted copy
   nnz_t nnz_end = 0;
+  // Run structure of the whole shard, counted while the partition is cut
+  // (so both storages price from it without rescanning the copy).
+  RunStats run_stats = {};
 
   nnz_t nnz() const { return nnz_end - nnz_begin; }
   index_t index_count() const { return index_end - index_begin; }
@@ -97,19 +115,38 @@ ShardAssignment assign_shards_weighted(const ModePartition& partition,
 std::vector<std::pair<nnz_t, nnz_t>> split_isps(const Shard& shard,
                                                 nnz_t isp_size);
 
-// Device-independent run structure of one shard of an output-sorted copy:
-// how many runs of equal output index it contains and the longest one.
-// Exact input to the cost model's EC pricing; computed from the resident
-// sorted indices, or persisted at spill time (io/snapshot run-stats
-// segment) so spilled shards price from real structure too.
-struct ShardRunStats {
+// Per-ISP run structure of one output-sorted shard split at one ISP size
+// (§3.1.2): the nonzeros, output runs and longest run of each ISP, which
+// with the kernel geometry and the device roofline give that ISP's
+// threadblock seconds.
+struct IspRunStats {
+  nnz_t nnz = 0;
   nnz_t runs = 0;
   nnz_t max_run = 0;
 };
 
-// One scan of `mode_indices` (the shard's output-mode column, sorted)
-// over [shard.nnz_begin, shard.nnz_end).
-ShardRunStats compute_shard_run_stats(std::span<const index_t> mode_indices,
-                                      const Shard& shard);
+// Memo of IspRunStats per (shard, ISP size) for one sorted mode copy. The
+// stats depend only on the copy's indices and the ISP size, so they are
+// scanned once, by the first kernel that runs the shard at that size, and
+// read by every later execution on any device with the same SM count.
+// Thread-safe: concurrent lanes may fill and read it. Entries are never
+// changed once inserted, so a returned span stays valid and readable
+// without the lock for the table's lifetime.
+class IspRunTable {
+ public:
+  // The per-ISP stats of shard `shard_id` split into ISPs of `isp_size`
+  // nonzeros; on a miss they are scanned from `shard_indices` (the
+  // shard's output-mode indices, all of them, in copy order).
+  std::span<const IspRunStats> find_or_scan(
+      std::size_t shard_id, nnz_t isp_size,
+      std::span<const index_t> shard_indices);
+
+  // Number of (shard, ISP size) entries filled so far.
+  std::size_t size() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::pair<std::size_t, nnz_t>, std::vector<IspRunStats>> entries_;
+};
 
 }  // namespace amped

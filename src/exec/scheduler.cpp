@@ -26,11 +26,17 @@ nnz_t resolve_isp_size(const MttkrpOptions& options, nnz_t shard_nnz,
 }
 
 // Kernel closure for one AMPED shard: runs the real EC arithmetic over
-// the shard's ISPs (through the view the lane's SpillFetch produced) and
-// prices the grid on the executing device — which is only known at run
-// time under dynamic dispatch, hence the ExecContext indirection.
-KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
+// the shard (through the view the lane's SpillFetch produced), then prices
+// the grid on the executing device — which is only known at run time under
+// dynamic dispatch, hence the ExecContext indirection. Pricing reads no
+// elements: the grid's per-ISP run structure depends only on the sorted
+// copy and the ISP size, so the copy's IspRunTable scans it once, from
+// the view of the first kernel that runs the shard at that size (resident
+// and spilled copies alike), and every later execution — ALS iteration,
+// backend, any device with the same SM count — prices from the table.
+KernelFn make_shard_kernel(const ModeLowerInput& in, std::size_t shard_id) {
   const AmpedTensor::ModeCopy* copy = &in.tensor.mode_copy(in.mode);
+  const Shard* shard = &copy->partition.shards[shard_id];
   const MttkrpOptions* options = &in.options;
   const FactorSet* factors = &in.factors;
   DenseMatrix* out = &in.out;
@@ -43,8 +49,7 @@ KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
                                             BlockOrder::kOutputSorted);
   const TileProgram* program = &KernelCache::global().find_or_create(shape);
   return [=](const ExecContext& ctx) -> double {
-    const auto& device = ctx.platform.gpu(ctx.gpu);
-    const int sm_count = device.spec().sm_count;
+    const int sm_count = ctx.platform.gpu(ctx.gpu).spec().sm_count;
     const nnz_t isp_size = resolve_isp_size(*options, shard->nnz(), sm_count);
     // Element n of the sorted copy lives at view index n - base whether
     // the view is the resident copy itself or a stream buffer, so both
@@ -55,24 +60,29 @@ KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
     // assignment that diverges between backends (real wall clock vs
     // simulated clock picking different GPUs) still produces
     // memcmp-identical output. The executing device only *prices* the
-    // grid — its sm_count shapes the ISP split below, whose stats come
-    // from an index-only rescan rather than the arithmetic pass.
+    // grid — its sm_count shapes the ISP split below.
     run_ec_block(*program, *ctx.view->data, shard_base,
                  shard_base + static_cast<nnz_t>(shard->nnz()),
                  copy->partition.mode, *factors, *out);
-    const index_t* out_idx =
-        ctx.view->data->indices(copy->partition.mode).data();
+    const auto isps = copy->isp_runs->find_or_scan(
+        shard_id, isp_size,
+        ctx.view->data->indices(copy->partition.mode)
+            .subspan(shard_base, shard->nnz()));
+    // The block stats of an output-sorted ISP, as RunStatsAccumulator
+    // would finish them for this shape.
+    const auto& cost = ctx.platform.cost_model(ctx.gpu);
+    sim::EcBlockStats stats;
+    stats.modes = shape.modes;
+    stats.rank = shape.rank;
+    stats.block_width = static_cast<std::size_t>(options->block_width);
     std::vector<double> block_seconds;
-    for (auto [lo, hi] : split_isps(*shard, isp_size)) {
-      // Mode copies are output-sorted, so the sorted stats fast path holds.
-      RunStatsAccumulator acc(shape);
-      for (nnz_t n = shard_base + lo; n < shard_base + hi; ++n) {
-        acc.feed(out_idx[n]);
-      }
-      const auto stats =
-          acc.finish(static_cast<std::size_t>(options->block_width));
-      block_seconds.push_back(
-          ctx.platform.cost_model(ctx.gpu).ec_block_seconds(stats, profile));
+    block_seconds.reserve(isps.size());
+    for (const IspRunStats& isp : isps) {
+      stats.nnz = isp.nnz;
+      stats.output_runs = isp.runs;
+      stats.max_run = isp.max_run;
+      stats.max_multiplicity = isp.max_run;
+      block_seconds.push_back(cost.ec_block_seconds(stats, profile));
     }
     return ctx.platform.kernel_launch_seconds() +
            sim::grid_makespan(block_seconds, sm_count);
@@ -131,7 +141,7 @@ void append_shard_tasks(Plan& plan, const ModeLowerInput& in, int gpu,
   Task kernel;
   kernel.kind = TaskKind::kKernel;
   kernel.gpu = gpu;
-  kernel.kernel = make_shard_kernel(in, shard);
+  kernel.kernel = make_shard_kernel(in, shard_id);
   kernel.free_bytes = pipelined ? 0 : payload;
   kernel.owned_rows = shard->index_count();
   kernel.labelled = true;
@@ -213,74 +223,6 @@ std::vector<double> throughput_weights(const ModeLowerInput& in) {
   return weights;
 }
 
-// Device-independent run structure of one shard: exact from one scan of
-// the resident sorted copy, or from the run-stats segment persisted in
-// the spill file at spill time. Only a spilled copy whose file predates
-// the segment (or whose partition no longer matches) falls back to the
-// index-width approximation — persisted stats mean no disk reads at
-// schedule time either way.
-ShardRunStats shard_run_stats(const ModeLowerInput& in, const Shard& shard) {
-  ShardRunStats stats;
-  if (shard.nnz() == 0) return stats;
-  const auto& copy = in.tensor.mode_copy(in.mode);
-  if (!copy.spilled()) {
-    return compute_shard_run_stats(copy.tensor.indices(copy.partition.mode),
-                                   shard);
-  }
-  const auto records = copy.spill->shard_run_stats();
-  const auto it = std::lower_bound(
-      records.begin(), records.end(),
-      static_cast<std::uint64_t>(shard.nnz_begin),
-      [](const io::ShardRunStatsRecord& r, std::uint64_t begin) {
-        return r.nnz_begin < begin;
-      });
-  if (it != records.end() && it->nnz_begin == shard.nnz_begin &&
-      it->nnz_end == shard.nnz_end) {
-    stats.runs = static_cast<nnz_t>(it->runs);
-    stats.max_run = static_cast<nnz_t>(it->max_run);
-    return stats;
-  }
-  const nnz_t width = std::max<index_t>(1, shard.index_count());
-  stats.runs = std::min<nnz_t>(shard.nnz(), width);
-  stats.max_run = (shard.nnz() + width - 1) / width;
-  return stats;
-}
-
-// Simulated seconds for one shard on one device: H2D of the payload plus
-// the grid under that device's roofline and ISP geometry. The transfer
-// leg is priced at the fluid share for `streaming_lanes` concurrent
-// streams (<= 0 keeps the legacy static all-lanes share).
-double estimate_with_stats(const ModeLowerInput& in, const Shard& shard,
-                           const ShardRunStats& run_stats, int gpu,
-                           int streaming_lanes = -1) {
-  const auto& cost = in.platform.cost_model(gpu);
-  const std::uint64_t payload =
-      shard.nnz() * static_cast<std::uint64_t>(in.tensor.bytes_per_nnz());
-  const double seconds =
-      in.platform.h2d_seconds(payload, streaming_lanes) +
-      in.platform.kernel_launch_seconds();
-  if (shard.nnz() == 0) return seconds;
-
-  const int sm_count = cost.spec().sm_count;
-  const nnz_t isp_size = resolve_isp_size(in.options, shard.nnz(), sm_count);
-  const nnz_t blocks = (shard.nnz() + isp_size - 1) / isp_size;
-  sim::EcBlockStats stats;
-  stats.nnz = (shard.nnz() + blocks - 1) / blocks;
-  stats.output_runs = std::max<nnz_t>(1, run_stats.runs / blocks);
-  stats.max_run = std::min<nnz_t>(run_stats.max_run, stats.nnz);
-  stats.max_multiplicity = stats.max_run;  // output-sorted copy
-  stats.modes = in.tensor.num_modes();
-  stats.rank = in.factors.rank();
-  stats.block_width = static_cast<std::size_t>(in.options.block_width);
-  const double block_seconds = cost.ec_block_seconds(stats, in.profile);
-  // List-scheduled equal blocks finish in ~max(1, blocks/SMs) block
-  // times; the continuous ratio avoids charging a whole extra wave when
-  // one partial block spills past the SM count.
-  const double waves = std::max(
-      1.0, static_cast<double>(blocks) / static_cast<double>(sm_count));
-  return seconds + waves * block_seconds;
-}
-
 class StaticScheduler : public Scheduler {
  public:
   StaticScheduler(SchedulingPolicy policy, bool pipelined)
@@ -334,8 +276,8 @@ class CostModelScheduler : public StaticScheduler {
         static_cast<std::size_t>(in.platform.num_gpus());
     const std::size_t n = partition.shards.size();
 
-    // Price every shard on every device: one run-structure scan per
-    // shard (device-independent), then a per-device roofline estimate.
+    // Price every shard on every device: the shard's run structure (from
+    // the partition) under each device's roofline.
     // H2D legs use the fluid share for the lanes this assignment can
     // actually keep streaming at once — fewer shards than GPUs means
     // fewer concurrent streams than the static all-lanes share assumes.
@@ -343,11 +285,9 @@ class CostModelScheduler : public StaticScheduler {
     std::vector<double> est(n * m);
     std::vector<double> worst(n, 0.0);  // slowest-device seconds per shard
     for (std::size_t id = 0; id < n; ++id) {
-      const auto run_stats = shard_run_stats(in, partition.shards[id]);
       for (std::size_t g = 0; g < m; ++g) {
-        const double e = estimate_with_stats(in, partition.shards[id],
-                                             run_stats,
-                                             static_cast<int>(g), lanes);
+        const double e = estimate_shard_seconds(
+            in, partition.shards[id], static_cast<int>(g), lanes);
         est[id * m + g] = e;
         worst[id] = std::max(worst[id], e);
       }
@@ -430,8 +370,32 @@ class DynamicQueueScheduler : public Scheduler {
 
 double estimate_shard_seconds(const ModeLowerInput& in, const Shard& shard,
                               int gpu, int streaming_lanes) {
-  return estimate_with_stats(in, shard, shard_run_stats(in, shard), gpu,
-                             streaming_lanes);
+  const auto& cost = in.platform.cost_model(gpu);
+  const std::uint64_t payload =
+      shard.nnz() * static_cast<std::uint64_t>(in.tensor.bytes_per_nnz());
+  const double seconds =
+      in.platform.h2d_seconds(payload, streaming_lanes) +
+      in.platform.kernel_launch_seconds();
+  if (shard.nnz() == 0) return seconds;
+
+  const int sm_count = cost.spec().sm_count;
+  const nnz_t isp_size = resolve_isp_size(in.options, shard.nnz(), sm_count);
+  const nnz_t blocks = (shard.nnz() + isp_size - 1) / isp_size;
+  sim::EcBlockStats stats;
+  stats.nnz = (shard.nnz() + blocks - 1) / blocks;
+  stats.output_runs = std::max<nnz_t>(1, shard.run_stats.runs / blocks);
+  stats.max_run = std::min<nnz_t>(shard.run_stats.max_run, stats.nnz);
+  stats.max_multiplicity = stats.max_run;  // output-sorted copy
+  stats.modes = in.tensor.num_modes();
+  stats.rank = in.factors.rank();
+  stats.block_width = static_cast<std::size_t>(in.options.block_width);
+  const double block_seconds = cost.ec_block_seconds(stats, in.profile);
+  // List-scheduled equal blocks finish in ~max(1, blocks/SMs) block
+  // times; the continuous ratio avoids charging a whole extra wave when
+  // one partial block spills past the SM count.
+  const double waves = std::max(
+      1.0, static_cast<double>(blocks) / static_cast<double>(sm_count));
+  return seconds + waves * block_seconds;
 }
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulingPolicy policy,

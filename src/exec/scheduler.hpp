@@ -56,8 +56,8 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulingPolicy policy,
 
 // The cost-model scheduler's per-shard estimate of simulated seconds on
 // one GPU (H2D + grid under that device's roofline). Run structure comes
-// from a scan of the resident copy, or from the run-stats segment
-// persisted in the spill file. Exposed for tests.
+// from the shard itself (Shard::run_stats, counted when the partition was
+// cut), so resident and spilled copies price alike. Exposed for tests.
 //
 // `streaming_lanes` prices the H2D leg: -1 (default) keeps the legacy
 // static all-lanes share; a positive count prices the transfer at the

@@ -52,8 +52,7 @@ class SpilledModeCopy {
   // `dir` (empty = AMPED_SPILL_DIR env or the system temp directory).
   // `shard_stats`, when nonempty, is persisted as the snapshot's
   // run-stats segment: the per-shard run structure of the partition the
-  // copy was built under, so schedulers can price spilled shards exactly
-  // without re-reading the file.
+  // copy was built under, kept with the file.
   //
   // Failure handling: transient write errors (injected faults, EINTR
   // class) are retried with bounded backoff; a written file that fails

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "core/amped_tensor.hpp"
+#include "core/batch.hpp"
+#include "core/cpd.hpp"
 #include "core/mttkrp.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/reference_mttkrp.hpp"
@@ -196,6 +199,34 @@ TEST(MttkrpTest, OutputOwnershipDisjointAcrossGpus) {
     }
   }
   for (index_t i = 0; i < input.dim(0); ++i) EXPECT_NE(owner[i], -1);
+}
+
+TEST(MttkrpTest, ZeroBlockWidthRejectedAtEveryEntryPoint) {
+  // block_width 0 gives the threadblock no threads: every simulated time
+  // would come out non-finite, so each public entry point must refuse it
+  // before doing any work.
+  const auto input = make_tensor(3, 0.5, 23);
+  const auto tensor = AmpedTensor::build(input, AmpedBuildOptions{});
+  Rng rng(24);
+  const FactorSet factors(input.dims(), 8, rng);
+  CpdOptions cpd;
+  cpd.rank = 8;
+  cpd.max_iterations = 1;
+  cpd.mttkrp.block_width = 0;
+  const MttkrpOptions& options = cpd.mttkrp;
+  auto platform = sim::make_default_platform(4);
+
+  DenseMatrix out(input.dim(0), 8);
+  EXPECT_THROW(mttkrp_one_mode(platform, tensor, factors, 0, out, options),
+               std::invalid_argument);
+  std::vector<DenseMatrix> outputs;
+  EXPECT_THROW(mttkrp_all_modes(platform, tensor, factors, outputs, options),
+               std::invalid_argument);
+  EXPECT_THROW(cp_als(platform, tensor, cpd), std::invalid_argument);
+  const AmpedTensor* tensors[] = {&tensor};
+  EXPECT_THROW(cpd_batch(platform, tensors, cpd), std::invalid_argument);
+  // Nothing ran: the platform's clocks never moved.
+  EXPECT_EQ(platform.makespan(), 0.0);
 }
 
 }  // namespace
