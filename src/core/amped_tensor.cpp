@@ -1,9 +1,9 @@
 #include "core/amped_tensor.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <exception>
 #include <stdexcept>
+#include <string>
 
 #include "core/cpd.hpp"  // tensor_norm_sq
 #include "io/mapped_tensor.hpp"
@@ -22,13 +22,19 @@ namespace {
 // a few hundred million keys/s at this scale; the log(nnz) depth is folded
 // in by the caller.
 constexpr double kHostSortKeysPerSec = 3.2e9;
-
-// Owned copy of either input kind, the starting point of every mode copy.
-CooTensor materialize_input(const CooTensor& input) { return input; }
-CooTensor materialize_input(const io::MappedCooTensor& input) {
-  return input.materialize();
-}
 }  // namespace
+
+void AmpedBuildOptions::validate() const {
+  if (num_gpus < 1) {
+    throw std::invalid_argument(
+        "AmpedBuildOptions: num_gpus must be >= 1 (got " +
+        std::to_string(num_gpus) + ")");
+  }
+  if (shards_per_gpu < 1) {
+    throw std::invalid_argument(
+        "AmpedBuildOptions: shards_per_gpu must be >= 1 (got 0)");
+  }
+}
 
 double model_amped_preprocess_seconds(nnz_t nnz, std::size_t modes,
                                       double host_sort_keys_per_sec) {
@@ -43,30 +49,30 @@ double model_amped_preprocess_seconds(nnz_t nnz, std::size_t modes,
   return static_cast<double>(modes) * n * depth / host_sort_keys_per_sec;
 }
 
-template <typename Input>
-AmpedTensor AmpedTensor::build_impl(const Input& input,
+AmpedTensor AmpedTensor::build_impl(const CooColumns& input,
                                     const AmpedBuildOptions& options,
                                     PreprocessStats* stats) {
-  assert(options.num_gpus >= 1 && options.shards_per_gpu >= 1);
+  options.validate();
   WallTimer timer;
 
+  const std::size_t modes = input.dims.size();
   AmpedTensor out;
-  out.dims_ = input.dims();
-  out.nnz_ = input.nnz();
-  out.copies_.resize(input.num_modes());
+  out.dims_.assign(input.dims.begin(), input.dims.end());
+  out.nnz_ = input.values.size();
+  out.copies_.resize(modes);
 
   const std::size_t shards =
       options.shards_per_gpu * static_cast<std::size_t>(options.num_gpus);
-  const std::uint64_t copy_bytes = input.storage_bytes();
+  const std::uint64_t copy_bytes = out.nnz_ * out.bytes_per_nnz();
   const std::uint64_t footprint =
-      copy_bytes * static_cast<std::uint64_t>(input.num_modes());
+      copy_bytes * static_cast<std::uint64_t>(modes);
 
   auto& budget = io::HostMemoryBudget::global();
   bool spill = options.storage == BuildStorage::kSpilled;
   if (options.storage == BuildStorage::kAuto && budget.limit() != 0 &&
       footprint > budget.remaining()) {
     spill = true;
-    AMPED_LOG_INFO << "amped build: " << input.num_modes() << " copies ("
+    AMPED_LOG_INFO << "amped build: " << modes << " copies ("
                    << io::format_bytes(footprint)
                    << ") exceed the host memory budget ("
                    << io::format_bytes(budget.remaining())
@@ -76,19 +82,18 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
   if (!spill) {
     // Resident build: charge the full footprint up front (this is what
     // "host residency" costs), then build per-mode copies in parallel.
-    // Per-mode copy builds are independent (each deep-copies the
-    // read-only input, sorts it, and writes its own slot), so they
-    // spread across the host thread pool. Slot order makes the result
-    // independent of completion order.
+    // Per-mode copy builds are independent (each reads the input's
+    // columns, builds its sorted copy from them and writes its own slot),
+    // so they spread across the host thread pool. Slot order makes the
+    // result independent of completion order.
     out.reservation_ = std::make_shared<io::BudgetReservation>(
         budget, footprint, "AmpedTensor resident mode copies");
-    std::vector<std::exception_ptr> errors(input.num_modes());
+    std::vector<std::exception_ptr> errors(modes);
     global_thread_pool().parallel_for(
-        input.num_modes(), [&](std::size_t d) {
+        modes, [&](std::size_t d) {
           try {
             ModeCopy copy;
-            copy.tensor = materialize_input(input);
-            copy.tensor.sort_by_mode(d);
+            copy.tensor = sorted_copy_by_mode(input, d);
             copy.partition = build_mode_partition(copy.tensor, d, shards);
             // Overlaps the other modes' builds; only this task writes it.
             if (d == 0) out.values_norm_sq_ = tensor_norm_sq(copy.tensor);
@@ -108,12 +113,11 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
     const std::string dir = io::resolve_spill_dir(options.spill_dir);
     io::SpillStats spill_stats;
     std::size_t degraded = 0;
-    for (std::size_t d = 0; d < input.num_modes(); ++d) {
+    for (std::size_t d = 0; d < modes; ++d) {
       auto charge = std::make_shared<io::BudgetReservation>(
           budget, copy_bytes, "AmpedTensor mode copy under build");
       ModeCopy copy;
-      CooTensor sorted = materialize_input(input);
-      sorted.sort_by_mode(d);
+      CooTensor sorted = sorted_copy_by_mode(input, d);
       copy.partition = build_mode_partition(sorted, d, shards);
       if (d == 0) {
         // Same accumulation order as the resident path (mode-0 sorted).
@@ -137,7 +141,7 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
         // is still in memory. Keep it resident if the budget allows both
         // this copy and the transient copy the next mode's build needs;
         // otherwise the spill error propagates.
-        const bool more_modes = d + 1 < input.num_modes();
+        const bool more_modes = d + 1 < modes;
         if (more_modes && budget.limit() != 0 &&
             budget.remaining() < copy_bytes) {
           throw std::runtime_error(
@@ -170,7 +174,7 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
   if (stats) {
     stats->wall_seconds = timer.seconds();
     stats->host_seconds =
-        model_amped_preprocess_seconds(input.nnz(), input.num_modes());
+        model_amped_preprocess_seconds(out.nnz_, modes);
     stats->bytes_built = out.total_bytes();
     stats->spilled = spill;
   }
@@ -189,13 +193,13 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
 AmpedTensor AmpedTensor::build(const CooTensor& input,
                                const AmpedBuildOptions& options,
                                PreprocessStats* stats) {
-  return build_impl(input, options, stats);
+  return build_impl(input.columns(), options, stats);
 }
 
 AmpedTensor AmpedTensor::build(const io::MappedCooTensor& input,
                                const AmpedBuildOptions& options,
                                PreprocessStats* stats) {
-  return build_impl(input, options, stats);
+  return build_impl(input.columns(), options, stats);
 }
 
 bool AmpedTensor::spilled() const {

@@ -47,6 +47,11 @@ struct AmpedBuildOptions {
   BuildStorage storage = BuildStorage::kAuto;
   // Directory for spill files ("" = AMPED_SPILL_DIR env or system temp).
   std::string spill_dir;
+
+  // Throws std::invalid_argument for num_gpus < 1 or shards_per_gpu < 1
+  // (a build with either would hold copies with zero shards). Called by
+  // both AmpedTensor::build overloads.
+  void validate() const;
 };
 
 // Simulated host-CPU preprocessing cost (Fig. 10) plus real wall time.
@@ -89,7 +94,7 @@ class AmpedTensor {
                            const AmpedBuildOptions& options,
                            PreprocessStats* stats = nullptr);
   // Same build from an mmap-backed snapshot view: per-mode copies are
-  // materialised straight from the mapping (no intermediate parse).
+  // sorted straight from the mapping (no parse, no intermediate copy).
   static AmpedTensor build(const io::MappedCooTensor& input,
                            const AmpedBuildOptions& options,
                            PreprocessStats* stats = nullptr);
@@ -120,8 +125,7 @@ class AmpedTensor {
   double values_norm_sq() const { return values_norm_sq_; }
 
  private:
-  template <typename Input>
-  static AmpedTensor build_impl(const Input& input,
+  static AmpedTensor build_impl(const CooColumns& input,
                                 const AmpedBuildOptions& options,
                                 PreprocessStats* stats);
 

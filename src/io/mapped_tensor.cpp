@@ -39,6 +39,16 @@ std::string MappedCooTensor::shape_string() const {
   return amped::shape_string(view_.dims, nnz());
 }
 
+CooColumns MappedCooTensor::columns() const {
+  CooColumns c;
+  c.dims = view_.dims;
+  for (std::size_t m = 0; m < num_modes(); ++m) {
+    c.indices[m] = view_.indices[m];
+  }
+  c.values = view_.values;
+  return c;
+}
+
 CooTensor MappedCooTensor::materialize() const {
   if (view_.dims.empty()) return CooTensor{};
   std::vector<std::vector<index_t>> cols;

@@ -8,8 +8,9 @@
 // disk→host tier of the streaming hierarchy.
 //
 // The class mirrors the read-side `std::span` accessors of `CooTensor`, so
-// generic code (e.g. `AmpedTensor::build`) works on either; `materialize()`
-// produces an owned copy when mutation is needed. v1 snapshots cannot be
+// generic code works on either, and `columns()` feeds `AmpedTensor::build`'s
+// sorted copies straight from the mapping; `materialize()` produces an
+// owned copy when mutation is needed. v1 snapshots cannot be
 // mapped (no alignment, no checksums) — re-write them with
 // `write_snapshot_file` first; `read_snapshot_file` converts transparently.
 #pragma once
@@ -55,6 +56,7 @@ class MappedCooTensor {
     return view_.indices[mode];
   }
   std::span<const value_t> values() const { return view_.values; }
+  CooColumns columns() const;
   std::size_t bytes_per_nnz() const {
     return num_modes() * sizeof(index_t) + sizeof(value_t);
   }

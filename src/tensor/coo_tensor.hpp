@@ -7,6 +7,7 @@
 // so mode-specific passes stream exactly the coordinates they touch.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -15,6 +16,14 @@
 #include "tensor/types.hpp"
 
 namespace amped {
+
+// Read-only column spans of a COO tensor, owned (CooTensor::columns) or
+// mapped (io::MappedCooTensor::columns): the input of a mode-copy build.
+struct CooColumns {
+  std::span<const index_t> dims;
+  std::array<std::span<const index_t>, kMaxModes> indices{};  // dims.size()
+  std::span<const value_t> values;
+};
 
 class CooTensor {
  public:
@@ -42,6 +51,7 @@ class CooTensor {
   std::span<index_t> mutable_indices(std::size_t mode) { return index_[mode]; }
   std::span<const value_t> values() const { return values_; }
   std::span<value_t> mutable_values() { return values_; }
+  CooColumns columns() const;
 
   // Appends one nonzero. `coords` must have num_modes() entries.
   void push_back(std::span<const index_t> coords, value_t value);
@@ -49,7 +59,8 @@ class CooTensor {
 
   // Sorts nonzeros lexicographically with `major_mode` as the most
   // significant key, remaining modes in ascending mode order. This is the
-  // order in which an output-mode-d tensor copy is laid out.
+  // order in which an output-mode-d tensor copy is laid out. Same as
+  // `*this = sorted_copy_by_mode(columns(), major_mode)`.
   void sort_by_mode(std::size_t major_mode);
 
   // Merges duplicate coordinates (summing values). Requires any sorted
@@ -81,6 +92,21 @@ class CooTensor {
   std::vector<std::vector<index_t>> index_;  // index_[mode][n]
   std::vector<value_t> values_;
 };
+
+// A copy of `input` in CooTensor::sort_by_mode(major_mode) order, built
+// straight from the column spans: the one build behind sort_by_mode and
+// every AmpedTensor mode copy. Keys that fit 64 bits (the mode-major
+// concatenation of every mode's index bits) take three streaming steps:
+//  - pack: one pass writes a 64-bit record per nonzero — `key << 32 |
+//    bits(value)` when the key fits 32 bits, else the bare key with the
+//    value in a parallel array — and counts every digit's histogram;
+//  - sort: a stable LSD radix sort of the records by the key bits only
+//    (util::radix_sort_records), so ties keep input order;
+//  - unpack: one pass writes the index columns and values back out.
+// Wider keys fall back to lexicographic_sort_permutation +
+// apply_permutation on a deep copy. Either way the result is
+// memcmp-identical to sorting a copy through the permutation.
+CooTensor sorted_copy_by_mode(const CooColumns& input, std::size_t major_mode);
 
 // The "8.2M x 177K x 8.1M, 4.7B nnz" rendering behind
 // CooTensor::shape_string, shared with non-owning tensor views.
