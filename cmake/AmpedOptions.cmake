@@ -60,6 +60,15 @@ if(AMPED_COVERAGE)
   add_link_options(--coverage)
 endif()
 
+# No floating-point contraction. GCC contracts a*b+c into one FMA by default
+# in C++ (even with extensions off) wherever the target has FMA, so a
+# -march=native Release build, a portable build and an -O0 build would
+# round simulated times and factors differently in the last bit. Off, every
+# preset computes the same bits and exact goldens hold in each of them.
+if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
+  target_compile_options(amped_options INTERFACE -ffp-contract=off)
+endif()
+
 if(AMPED_NATIVE_ARCH AND CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
   include(CheckCXXCompilerFlag)
   check_cxx_compiler_flag(-march=native AMPED_HAS_MARCH_NATIVE)
