@@ -123,18 +123,9 @@ AmpedTensor AmpedTensor::build_impl(const CooColumns& input,
         // Same accumulation order as the resident path (mode-0 sorted).
         out.values_norm_sq_ = tensor_norm_sq(sorted);
       }
-      // Persist each shard's run structure (counted by the partition) in
-      // the spill file alongside the elements.
-      std::vector<io::ShardRunStatsRecord> stat_records;
-      stat_records.reserve(copy.partition.shards.size());
-      for (const auto& shard : copy.partition.shards) {
-        stat_records.push_back({shard.nnz_begin, shard.nnz_end,
-                                shard.run_stats.runs,
-                                shard.run_stats.max_run});
-      }
       try {
-        copy.spill = std::make_shared<io::SpilledModeCopy>(
-            sorted, d, dir, stat_records, &spill_stats);
+        copy.spill = std::make_shared<io::SpilledModeCopy>(sorted, d, dir,
+                                                           &spill_stats);
       } catch (const std::exception& spill_error) {
         // Graceful degradation: the spill failed permanently (retries and
         // rebuilds exhausted inside SpilledModeCopy), but the sorted copy

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <ranges>
 #include <span>
 #include <stdexcept>
@@ -42,8 +43,6 @@ ExecBackend parse_backend(const std::string& name) {
 }
 
 namespace {
-
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 // Lane-private "device global memory": the staged copy of one shard
 // payload plus the view the kernel reads it through. A CUDA port swaps
@@ -82,32 +81,19 @@ bool stages(const Task& t) {
   return t.kind == TaskKind::kSpillFetch || t.kind == TaskKind::kH2D;
 }
 
-bool on_coordinator(const Task& t) {
-  return t.kind == TaskKind::kBarrier || t.kind == TaskKind::kAllGather ||
-         t.kind == TaskKind::kHostOp;
-}
-
 // Host-side state of one simulated GPU. The view and the staging ring are
 // written only by the engine that runs the GPU's copy-engine tasks, the
 // bounce buffers only by its compute engine, the ring bookkeeping only by
 // its binder, and `bound` only under Interpreter::mu_.
 struct Lane {
-  io::ShardStreamer::View view;  // the latest SpillFetch
-  bool have_view = false;
+  std::optional<io::ShardStreamer::View> view;  // the latest SpillFetch
   DeviceBuffer ring[2];          // staging ring, depth 1 or 2
   std::size_t units = 0;         // units bound so far
   int open_slot = -1;            // ring slot of the unit being bound
-  std::size_t slot_reader[2] = {kNone, kNone};  // last kernel per slot
-  // Compute-engine tasks in bind order; kNone closes the lane.
+  std::size_t slot_reader[2] = {kNoTask, kNoTask};  // last kernel per slot
+  // Compute-engine tasks in bind order; kNoTask closes the lane.
   std::vector<std::size_t> bound;
   std::vector<unsigned char> bounce_src, bounce_dst;
-};
-
-// An entry of a binder's program: one of its GPU's static lane tasks, or
-// a run of kAnyGpu units to pull from the shared cursor.
-struct Item {
-  std::size_t task = kNone;
-  std::size_t run = kNone;
 };
 
 // The one host interpreter (see host_backend.hpp for the engine model).
@@ -117,71 +103,8 @@ struct Item {
 class Interpreter {
  public:
   Interpreter(sim::Platform& platform, Plan& plan)
-      : platform_(platform),
-        plan_(plan),
-        m_(platform.num_gpus()),
-        trace_(platform.trace()) {
-    const std::size_t n = plan.tasks.size();
-    const auto m = static_cast<std::size_t>(m_);
-    report_.scope_owned_rows.assign(plan.num_scopes(),
-                                    std::vector<std::uint64_t>(m, 0));
-    lanes_ = std::vector<Lane>(m);
-    items_.resize(m);
-    waiters_ = std::vector<Waiter>(2 * m + 1);
-    gpu_of_.assign(n, -1);
-    slot_of_.assign(n, -1);
-    start_.assign(n, 0.0);
-    finish_.assign(n, 0.0);
-    predicted_.assign(n, 0.0);
-    done_.assign(n, 0);
-
-    // One pass derives the edges, each binder's program and the kAnyGpu
-    // unit table.
-    serial_ = !plan.parallel_lanes || host_parallelism() <= 1;
-    std::size_t fence = kNone;  // the latest coordinator task
-    bool open_unit = false;
-    bool open_run = false;
-    for (std::size_t id = 0; id < n; ++id) {
-      const Task& t = plan.tasks[id];
-      dep_begin_.push_back(edges_.size());
-      edges_.insert(edges_.end(), t.deps.begin(), t.deps.end());
-      if (on_coordinator(t)) {
-        // Legacy fence: waits for every lane task since the previous one,
-        // and every later lane task waits for it.
-        const std::size_t first = fence == kNone ? 0 : fence + 1;
-        for (std::size_t i = first; !plan.graph && i < id; ++i) {
-          edges_.push_back(i);
-        }
-        fence = id;
-        coordinator_tasks_.push_back(id);
-        open_unit = open_run = false;
-        continue;
-      }
-      if (!plan.graph && fence != kNone) edges_.push_back(fence);
-      if (t.kind == TaskKind::kH2D && !annotated(t)) serial_ = true;
-      if (t.gpu != kAnyGpu) {
-        assert(t.gpu >= 0 && t.gpu < m_ && "lane task names no GPU");
-        items_[static_cast<std::size_t>(t.gpu)].push_back({.task = id});
-        open_unit = open_run = false;
-        continue;
-      }
-      if (!open_run) {
-        run_end_.push_back(units_.size());
-        for (auto& program : items_) {
-          program.push_back({.run = run_end_.size() - 1});
-        }
-        open_run = true;
-      }
-      if (!open_unit) units_.emplace_back(id, id);
-      units_.back().second = id + 1;
-      run_end_.back() = units_.size();
-      // A unit is a chain of kAnyGpu tasks through its closing kernel.
-      open_unit = t.kind != TaskKind::kKernel;
-    }
-    dep_begin_.push_back(edges_.size());
-    two_engines_ = !serial_ && plan.pipelined;
-    depth_ = two_engines_ ? 2 : 1;
-    if (!units_.empty()) {
+      : platform_(platform), plan_(plan) {
+    if (!edges_.units.empty()) {
       // Dispatch decisions are an observable the scheduler work cares
       // about: one counter per GPU, resolved once (registration locks).
       for (int g = 0; g < m_; ++g) {
@@ -218,9 +141,6 @@ class Interpreter {
   bool on_binder(const Task& t) const {
     return !two_engines_ || on_copy_engine(t);
   }
-  std::span<const std::size_t> deps(std::size_t id) const {
-    return {edges_.data() + dep_begin_[id], edges_.data() + dep_begin_[id + 1]};
-  }
   bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
 
   // Plans that forbid parallel lanes, a one-thread pool, or an unannotated
@@ -228,10 +148,11 @@ class Interpreter {
   // the calling thread in plan order — a valid topological order for
   // every plan — with kAnyGpu units dealt round-robin.
   void run_serial() {
-    for (std::size_t u = 0; u < units_.size(); ++u) {
+    for (std::size_t u = 0; u < edges_.units.size(); ++u) {
       const auto g = u % static_cast<std::size_t>(m_);
       dispatched_[g]->inc();
-      for (std::size_t id = units_[u].first; id < units_[u].second; ++id) {
+      const auto [begin, end] = edges_.units[u];
+      for (std::size_t id = begin; id < end; ++id) {
         gpu_of_[id] = static_cast<int>(g);
       }
     }
@@ -263,7 +184,7 @@ class Interpreter {
     // A thread that fails to start cancels the run like any other error.
     guarded([&] {
       for (int g = 0; g < m_; ++g) {
-        if (items_[static_cast<std::size_t>(g)].empty()) continue;
+        if (edges_.programs[static_cast<std::size_t>(g)].empty()) continue;
         threads.emplace_back(guarded([this, g] { run_binder(g); }));
         if (two_engines_) {
           threads.emplace_back(guarded([this, g] { run_compute(g); }));
@@ -271,7 +192,7 @@ class Interpreter {
       }
     })();
     guarded([this] {
-      for (std::size_t id : coordinator_tasks_) {
+      for (std::size_t id : edges_.coordinator_tasks) {
         if (!run_task(id, -1, coordinator_slot())) return;
       }
     })();
@@ -281,9 +202,9 @@ class Interpreter {
 
   void run_binder(int g) {
     const std::size_t slot = binder_slot(g);
-    for (const Item& item : items_[static_cast<std::size_t>(g)]) {
+    for (const auto& item : edges_.programs[static_cast<std::size_t>(g)]) {
       if (cancelled()) break;
-      if (item.run != kNone) {
+      if (item.run != kNoTask) {
         if (!pull(g, item.run)) break;
       } else if (!bind(g, item.task, slot) ||
                  (on_binder(plan_.tasks[item.task]) &&
@@ -293,7 +214,7 @@ class Interpreter {
     }
     {
       std::lock_guard lock(mu_);
-      lanes_[static_cast<std::size_t>(g)].bound.push_back(kNone);
+      lanes_[static_cast<std::size_t>(g)].bound.push_back(kNoTask);
     }
     waiters_[compute_slot(g)].cv.notify_one();
   }
@@ -310,23 +231,25 @@ class Interpreter {
       // The ring edge, taken before the pull so a GPU never holds a unit
       // it cannot stage yet.
       const std::size_t reader = lane.slot_reader[lane.units % depth_];
-      if (reader != kNone && !wait_for({&reader, 1}, slot)) return false;
+      if (reader != kNoTask && !wait_for({&reader, 1}, slot)) return false;
       std::size_t u;
       {
         std::lock_guard lock(dispatch_);
         if (cancelled()) return false;
         // `>=`: one cursor serves every run, and another GPU may already
         // have moved it into the next run.
-        if (next_unit_ >= run_end_[run]) return true;
+        if (next_unit_ >= edges_.run_end[run]) return true;
         u = next_unit_++;
         AMPED_FAULT_POINT("host.worker");
         dispatched_[static_cast<std::size_t>(g)]->inc();
-        for (std::size_t id = units_[u].first; id < units_[u].second; ++id) {
+        for (std::size_t id = edges_.units[u].first;
+             id < edges_.units[u].second; ++id) {
           if (!bind(g, id, slot)) return false;
           if (stages(plan_.tasks[id]) && !run_task(id, g, slot)) return false;
         }
       }
-      for (std::size_t id = units_[u].first; id < units_[u].second; ++id) {
+      for (std::size_t id = edges_.units[u].first;
+           id < edges_.units[u].second; ++id) {
         const Task& t = plan_.tasks[id];
         if (!stages(t) && on_binder(t) && !run_task(id, g, slot)) return false;
       }
@@ -347,7 +270,7 @@ class Interpreter {
         if (cancelled()) return;
         id = lane.bound[i];
       }
-      if (id == kNone || !run_task(id, g, compute_slot(g))) return;
+      if (id == kNoTask || !run_task(id, g, compute_slot(g))) return;
     }
   }
 
@@ -362,7 +285,7 @@ class Interpreter {
     if (t.kind == TaskKind::kH2D && annotated(t)) {
       lane.open_slot = static_cast<int>(lane.units % depth_);
       const std::size_t reader = lane.slot_reader[lane.units % depth_];
-      if (reader != kNone && !wait_for({&reader, 1}, slot)) return false;
+      if (reader != kNoTask && !wait_for({&reader, 1}, slot)) return false;
       slot_of_[id] = lane.open_slot;
     }
     if (t.kind == TaskKind::kKernel) {
@@ -388,7 +311,7 @@ class Interpreter {
   bool run_task(std::size_t id, int g, std::size_t slot) {
     Task& t = plan_.tasks[id];
     start_[id] = clock_.seconds();  // a barrier's span is its wait
-    if (!wait_for(deps(id), slot)) return false;
+    if (!wait_for(edges_.deps(id), slot)) return false;
     // Threaded kAnyGpu units fire host.worker at their pull instead; run
     // serially they fire host.lane, like a sequential lane.
     if (const bool fixed = t.gpu != kAnyGpu; g >= 0 && (fixed || serial_)) {
@@ -400,15 +323,14 @@ class Interpreter {
     switch (t.kind) {
       case TaskKind::kSpillFetch:
         lane->view = plan_.streamers[t.streamer]->acquire(t.stream_pos);
-        lane->have_view = true;
         break;
       case TaskKind::kH2D: {
         // Priced at the fluid share for the lanes staging right now.
         int streaming = 1;
         if (const int s = slot_of_[id]; s >= 0) {
-          assert(lane->have_view && "annotated H2D with no stream view");
+          assert(lane->view && "annotated H2D with no stream view");
           streaming = streaming_.fetch_add(1, std::memory_order_relaxed) + 1;
-          stage_payload(lane->view, t.payload_begin, t.payload_end,
+          stage_payload(*lane->view, t.payload_begin, t.payload_end,
                         lane->ring[s]);
           streaming_.fetch_sub(1, std::memory_order_relaxed);
         }
@@ -433,7 +355,7 @@ class Interpreter {
         const int s = slot_of_[id];
         const io::ShardStreamer::View* view =
             s >= 0 ? &lane->ring[s].view
-                   : (!two_engines_ && lane->have_view ? &lane->view : nullptr);
+                   : (!two_engines_ && lane->view ? &*lane->view : nullptr);
         predicted_[id] = t.kernel(ExecContext{platform_, g, view});
         report_.scope_owned_rows[t.scope][static_cast<std::size_t>(g)] +=
             t.owned_rows;
@@ -446,14 +368,10 @@ class Interpreter {
         // exchange — the task contributes its ordering edges and its
         // books. A device port replaces this with real peer copies sized
         // scope_owned_rows[scope][g] * row_bytes, like the simulator.
-        std::vector<std::uint64_t> parts(static_cast<std::size_t>(m_));
-        for (std::size_t gi = 0; gi < parts.size(); ++gi) {
-          parts[gi] = report_.scope_owned_rows[t.scope][gi] * t.row_bytes;
-        }
         report_.gather_edges.push_back(
             {.scope = t.scope,
              .mode = t.mode,
-             .bytes = allgather_bytes(parts, t.allgather),
+             .bytes = allgather_bytes(gather_parts(t, report_), t.allgather),
              .start = start_[id]});
         break;
       }
@@ -503,13 +421,7 @@ class Interpreter {
   // job share one monotone time base, on the rows the simulator uses:
   // engine 0 = compute, 1 = copy, device -1 = coordinator.
   void finish_report() {
-    const std::size_t scopes = plan_.num_scopes();
     const auto m = static_cast<std::size_t>(m_);
-    report_.per_gpu_compute.assign(m, 0.0);
-    report_.per_gpu_predicted_compute.assign(m, 0.0);
-    report_.scope_gpu_compute.assign(scopes, std::vector<double>(m, 0.0));
-    report_.scope_kernel_start.assign(scopes, -1.0);
-    report_.scope_kernel_finish.assign(scopes, -1.0);
     const double trace_base =
         trace_ != nullptr ? trace_->host_now() - clock_.seconds() : 0.0;
     auto& kernel_seconds = metrics::histogram("exec.host.kernel_seconds");
@@ -545,10 +457,7 @@ class Interpreter {
           report_.per_gpu_compute[g] += el;
           report_.per_gpu_predicted_compute[g] += predicted_[id];
           report_.scope_gpu_compute[t.scope][g] += el;
-          auto& first = report_.scope_kernel_start[t.scope];
-          if (first < 0.0 || start_[id] < first) first = start_[id];
-          auto& last = report_.scope_kernel_finish[t.scope];
-          last = std::max(last, finish_[id]);
+          report_.widen_kernel_span(t.scope, start_[id], finish_[id]);
           kernel_seconds.record_seconds(el);
           phase = sim::Phase::kCompute;
           if (trace_ && t.labelled) label = shard_label(t);
@@ -564,10 +473,7 @@ class Interpreter {
           gather->finish = finish_[id];
           ++gather;
           phase = sim::Phase::kPeerToPeer;
-          if (trace_) {
-            label = "gather-edge scope" + std::to_string(t.scope) + " mode" +
-                    std::to_string(t.mode);
-          }
+          if (trace_) label = gather_label(t);
           break;
         case TaskKind::kHostOp:
           report_.wall_host_op += el;
@@ -603,43 +509,45 @@ class Interpreter {
         if (l >= 0.0) report_.wall_sync += all - l;
       }
     };
-    for (const std::size_t id : coordinator_tasks_) join(deps(id));
+    for (const std::size_t id : edges_.coordinator_tasks) {
+      join(edges_.deps(id));
+    }
     join(std::views::iota(
-        coordinator_tasks_.empty() ? 0 : coordinator_tasks_.back() + 1,
+        edges_.coordinator_tasks.empty() ? 0
+                                         : edges_.coordinator_tasks.back() + 1,
         plan_.tasks.size()));
     report_.wall_seconds = clock_.seconds();
   }
 
   sim::Platform& platform_;
   Plan& plan_;
-  const int m_;
+  const int m_ = platform_.num_gpus();
   const WallTimer clock_;  // run clock: stamps, spans and gather edges
-  sim::TraceLog* trace_;   // the platform's attached trace, or nullptr
-  ExecReport report_;
-  bool serial_ = false;
-  bool two_engines_ = false;  // each GPU runs a copy and a compute engine
-  std::size_t depth_ = 1;     // staging ring depth
+  sim::TraceLog* const trace_ = platform_.trace();  // or nullptr
+  ExecReport report_ = ExecReport::sized(plan_.num_scopes(), m_);
+  const bool serial_ =
+      !plan_.parallel_lanes || host_parallelism() <= 1 ||
+      std::ranges::any_of(plan_.tasks, [](const Task& t) {
+        return t.kind == TaskKind::kH2D && !annotated(t);
+      });
+  // Each GPU runs a copy and a compute engine; the staging ring depth.
+  const bool two_engines_ = !serial_ && plan_.pipelined;
+  const std::size_t depth_ = two_engines_ ? 2 : 1;
 
-  // Edges in CSR form: Task::deps plus, for legacy (non-graph) plans,
-  // the derived fences.
-  std::vector<std::size_t> dep_begin_;
-  std::vector<std::size_t> edges_;
-  std::vector<std::size_t> coordinator_tasks_;  // plan order
-  std::vector<std::vector<Item>> items_;        // per GPU, plan order
-  // kAnyGpu dispatch units ([begin, end) plan ranges) and, per run of
-  // consecutive units, the end of the run in units_.
-  std::vector<std::pair<std::size_t, std::size_t>> units_;
-  std::vector<std::size_t> run_end_;
+  const PlanEdges edges_ = derive_edges(plan_, m_);
   std::vector<metrics::Counter*> dispatched_;
   std::mutex dispatch_;  // guards the shared cursor; in-order acquire/stage
   std::size_t next_unit_ = 0;
 
-  std::vector<Lane> lanes_;
-  std::vector<int> gpu_of_;        // GPU each lane task was bound to
-  std::vector<int> slot_of_;       // ring slot of an H2D / kernel, -1 = none
-  std::vector<double> start_;      // run-clock stamps of each task
-  std::vector<double> finish_;
-  std::vector<double> predicted_;  // cost-model seconds (kernels, H2Ds)
+  const std::size_t n_ = plan_.tasks.size();
+  std::vector<Lane> lanes_ = std::vector<Lane>(static_cast<std::size_t>(m_));
+  std::vector<int> gpu_of_ = std::vector<int>(n_, -1);  // bound GPU
+  // Ring slot of an H2D / kernel, -1 = none.
+  std::vector<int> slot_of_ = std::vector<int>(n_, -1);
+  std::vector<double> start_ = std::vector<double>(n_);  // run-clock stamps
+  std::vector<double> finish_ = std::vector<double>(n_);
+  // Cost-model seconds (kernels, H2Ds).
+  std::vector<double> predicted_ = std::vector<double>(n_);
   std::atomic<int> streaming_{0};  // lanes inside a staging copy right now
 
   // Dependency state. Each engine sleeps on its own condition variable,
@@ -647,12 +555,15 @@ class Interpreter {
   // engines that need it.
   struct Waiter {
     std::condition_variable cv;
-    std::size_t on = kNone;
+    std::size_t on = kNoTask;
   };
-  static constexpr std::size_t kBound = kNone - 1;  // waits for Lane::bound
+  static constexpr std::size_t kBound = kNoTask - 1;  // waits for Lane::bound
   std::mutex mu_;
-  std::vector<char> done_;
-  std::vector<Waiter> waiters_;
+  std::vector<char> done_ = std::vector<char>(n_);
+  // Slots 2g = GPU g's binder, 2g + 1 = its compute engine, 2m = the
+  // coordinator.
+  std::vector<Waiter> waiters_ =
+      std::vector<Waiter>(2 * static_cast<std::size_t>(m_) + 1);
   std::atomic<bool> cancel_{false};
   std::exception_ptr error_;
 };

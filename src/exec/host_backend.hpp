@@ -20,7 +20,8 @@
 //                              pipelined, else 1)
 //   task dependencies          Task::deps, waited on per task; a waiting
 //                              engine sleeps until that one task is done
-//   Barrier / fence (legacy)   edges derived at start: each barrier,
+//   Barrier / fence (legacy)   edges derived at start by derive_edges,
+//                              shared with the simulator: each barrier,
 //                              all-gather or host op waits for every
 //                              earlier lane task, and every later lane
 //                              task waits for it

@@ -14,20 +14,43 @@
 // implementations (asserted in tests/exec_plan_test.cpp against the
 // frozen reference in exec/reference_loop.hpp).
 //
-// Lane semantics (chosen per Plan):
-//  - sequential: one engine per GPU; H2D and Kernel interleave on the
-//    device clock (the paper's additive stream-then-compute, Fig. 7).
-//  - pipelined: two engines per GPU (copy + compute); a kernel may not
-//    start before its H2D dependency lands, and only the *exposed*
-//    (non-overlapped) transfer time is charged (ablation A6).
-//  - dynamic: tasks carry gpu == kAnyGpu and are dispatched in plan
-//    order to the earliest-idle GPU — the simulated clock is the work
-//    queue, reproducing dynamic load balancing exactly.
-//  - dynamic look-ahead: kAnyGpu tasks with `pipelined` set. Dispatch
-//    units go to the GPU whose pipeline accepts them earliest, and a
-//    unit's H2D is issued on that GPU's copy engine while the previous
-//    unit's grid still computes — the pipelined commit rules (exposed
-//    transfer only) applied to dynamic dispatch.
+// One interpreter per backend runs every plan: the simulator here, the
+// host engine threads in exec/host_backend.hpp. Both execute the same
+// edges (derive_edges below): Task::deps plus, for legacy (non-graph)
+// plans, fences that order every lane task against the barriers,
+// all-gathers and host ops around it. The simulator's rules, all read off
+// Plan::graph, Plan::pipelined and kAnyGpu:
+//  - engines: each GPU has a copy engine and a compute engine, or only
+//    the compute engine when the plan is sequential (!pipelined); the
+//    coordinator runs barriers, all-gathers and host ops. Engines run
+//    their tasks FIFO in plan order, and a heap always expands the ready
+//    head that starts earliest (start = max(engine frontier, edges)).
+//  - binding: static tasks stay on their lane. kAnyGpu units bind in
+//    plan order, each once its first task is ready, to the GPU that
+//    accepts it earliest (ties to the lowest id): the
+//    earliest-idle GPU when sequential (the simulated clock is the work
+//    queue), the GPU whose pipeline lets the unit's kernel start soonest
+//    given its copy backlog when pipelined (look-ahead dispatch).
+//  - H2D price: the static all-lanes share for sequential and static
+//    pipelined lanes; the fluid share of the lanes still streaming for
+//    look-ahead units; one FluidHostLink for graph plans.
+//  - commit: sequential lanes advance the device clock per task (the
+//    paper's additive stream-then-compute, Fig. 7); pipelined lanes
+//    charge compute plus only the exposed (non-overlapped) transfer time
+//    at each fence (ablation A6); graph plans commit once at plan end,
+//    then their gather share and a sync to the modelled finish.
+//  - coordinator: a legacy barrier or all-gather is a fence that runs
+//    platform.barrier() / allgather_factor_rows on the committed clocks,
+//    after which the lanes restart from the device clocks. In a graph
+//    plan an all-gather is an edge occupying the coordinator engine for
+//    its priced seconds, and barriers and host ops cost nothing.
+//  - side effects: static lanes run their fetches, allocations and
+//    kernel arithmetic segment by segment (the lane tasks between
+//    coordinator tasks) before the segment is timed: one lane after
+//    another, each lane's tasks in plan order, or the lanes concurrently
+//    on the host pool when the plan allows parallel lanes and tracing is
+//    off. kAnyGpu kernels run as they bind, since their price depends on
+//    the GPU.
 //
 // Since PR 5 a plan also names the output rows it updates (RowScope) and
 // every task carries a scope index. A solo plan has one scope; composed
@@ -39,7 +62,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/allgather.hpp"
@@ -147,6 +172,15 @@ struct Task {
 // host backends so the two traces of one plan carry identical kernel
 // labels and line up row-for-row in Perfetto.
 std::string shard_label(const Task& t);
+// Trace label of an all-gather edge ("gather-edge scope<S> mode<M>"), on
+// both backends.
+std::string gather_label(const Task& t);
+
+// Whether a task runs on the coordinator (barriers, all-gathers, host
+// ops) rather than on a GPU lane.
+bool on_coordinator(const Task& t);
+
+inline constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
 
 struct Plan {
   std::string scheduler;  // name of the scheduler that lowered this plan
@@ -161,10 +195,9 @@ struct Plan {
   // Graph-scheduled plan (exec/compose.hpp compose_graph): all-gathers
   // are dependency edges (Task::deps names their kernel producers, and
   // downstream kernels name the gather) instead of plan-suffix phases,
-  // and the simulator runs the plan with its dependency-driven
-  // interpreter rather than the segment/flush loop. Legacy plans (graph
-  // == false) keep their bit-identical pre-engine semantics untouched;
-  // the host backend derives their fences as edges.
+  // and coordinator tasks are not fences. Legacy plans (graph == false)
+  // keep their bit-identical pre-engine semantics: both backends derive
+  // their fences as edges (derive_edges).
   bool graph = false;
   // Row-ownership scopes; Task::scope indexes this. Empty means one
   // anonymous scope (solo plans lowered before composition existed).
@@ -196,10 +229,9 @@ struct ExecReport {
   };
   std::vector<GatherEdge> gather_edges;
 
-  // Modelled start/finish of each scope's kernel span (first kernel start,
-  // last kernel finish) on the same time base as GatherEdge. Filled by the
-  // graph interpreter and the host backend; -1 where untracked (legacy
-  // simulator paths, scopes that ran no kernel).
+  // Start/finish of each scope's kernel span (first kernel start, last
+  // kernel finish) on the same time base as GatherEdge, for every plan on
+  // both backends; -1 for scopes that ran no kernel.
   std::vector<double> scope_kernel_start;
   std::vector<double> scope_kernel_finish;
 
@@ -246,14 +278,52 @@ struct ExecReport {
   // share; comparing the two against wall_h2d is how
   // bench_backend_validation validates the fluid model.
   double predicted_h2d_fluid = 0.0;
+
+  // A report for a run of a plan with `scopes` scopes on `num_gpus` GPUs:
+  // per-GPU and per-scope accounting at zero, kernel spans at -1.
+  static ExecReport sized(std::size_t scopes, int num_gpus);
+  // Widens scope `scope`'s kernel span to cover [start, finish].
+  void widen_kernel_span(std::size_t scope, double start, double finish);
 };
 
-// Runs any plan on the platform: per-GPU lanes (parallel when the plan
-// allows and tracing is off), dynamic dispatch for kAnyGpu tasks, and
-// global tasks (barrier / all-gather / host ops) in plan order.
-// `backend` selects the machine: the clock-charging simulator (default)
-// or the real host-parallel executor (exec/host_backend.hpp) — same
-// outputs, measured instead of modelled time.
+// The dependency structure both backends run a plan by, derived in one
+// pass over its tasks.
+struct PlanEdges {
+  // An entry of a GPU's program: one of its static lane tasks, or a run
+  // of kAnyGpu units it takes units from.
+  struct Item {
+    std::size_t task = kNoTask;
+    std::size_t run = kNoTask;
+  };
+  // Edges in CSR form: Task::deps plus, for legacy (non-graph) plans, the
+  // fences — each coordinator task waits for every lane task since the
+  // previous one, and every later lane task waits for it.
+  std::vector<std::size_t> dep_begin;
+  std::vector<std::size_t> edges;
+  std::vector<std::size_t> coordinator_tasks;  // plan order
+  // kAnyGpu dispatch units ([begin, end) plan ranges: a chain of kAnyGpu
+  // tasks through its closing kernel) and, per run of consecutive units,
+  // the end of the run in `units`.
+  std::vector<std::pair<std::size_t, std::size_t>> units;
+  std::vector<std::size_t> run_end;
+  std::vector<std::vector<Item>> programs;  // per GPU, plan order
+
+  std::span<const std::size_t> deps(std::size_t id) const {
+    return {edges.data() + dep_begin[id], edges.data() + dep_begin[id + 1]};
+  }
+};
+
+PlanEdges derive_edges(const Plan& plan, int num_gpus);
+
+// Bytes each GPU contributes to all-gather `t`: the rows its kernels of
+// t's scope have updated so far, times the row size.
+std::vector<std::uint64_t> gather_parts(const Task& t,
+                                        const ExecReport& report);
+
+// Runs any plan on the platform. `backend` selects the machine: the
+// clock-charging simulator (default; the rules in the file comment) or
+// the real host-parallel executor (exec/host_backend.hpp) — same outputs,
+// measured instead of modelled time.
 class PlanExecutor {
  public:
   explicit PlanExecutor(sim::Platform& platform,

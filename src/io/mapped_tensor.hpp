@@ -71,11 +71,6 @@ class MappedCooTensor {
   const std::string& path() const { return file_.path(); }
   // Bytes of the underlying file mapping.
   std::size_t mapped_bytes() const { return file_.size(); }
-  // Optional per-shard run structure (empty unless the snapshot carries
-  // the run-stats segment written at spill time).
-  std::span<const ShardRunStatsRecord> shard_run_stats() const {
-    return view_.shard_stats;
-  }
 
  private:
   MappedFile file_;

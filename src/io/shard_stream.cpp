@@ -37,9 +37,7 @@ std::string next_spill_path(const std::string& dir, std::size_t mode) {
 }  // namespace
 
 SpilledModeCopy::SpilledModeCopy(const CooTensor& sorted, std::size_t mode,
-                                 const std::string& dir,
-                                 std::span<const ShardRunStatsRecord> shard_stats,
-                                 SpillStats* stats)
+                                 const std::string& dir, SpillStats* stats)
     : path_(next_spill_path(resolve_spill_dir(dir), mode)) {
   constexpr int kMaxRebuilds = 3;
   SpillStats local;
@@ -50,7 +48,7 @@ SpilledModeCopy::SpilledModeCopy(const CooTensor& sorted, std::size_t mode,
       // temp file is removed by AtomicFileWriter's destructor.
       fault::retry_transient(
           "spill write",
-          [&] { write_snapshot_file(sorted, path_, shard_stats); }, {},
+          [&] { write_snapshot_file(sorted, path_); }, {},
           &local.retries);
       try {
         AMPED_FAULT_POINT("spill.verify");

@@ -50,9 +50,6 @@ class SpilledModeCopy {
  public:
   // Spills `sorted` (the mode-`mode` sorted copy) to a new file under
   // `dir` (empty = AMPED_SPILL_DIR env or the system temp directory).
-  // `shard_stats`, when nonempty, is persisted as the snapshot's
-  // run-stats segment: the per-shard run structure of the partition the
-  // copy was built under, kept with the file.
   //
   // Failure handling: transient write errors (injected faults, EINTR
   // class) are retried with bounded backoff; a written file that fails
@@ -61,9 +58,7 @@ class SpilledModeCopy {
   // leaves no file behind. `stats`, when non-null, accumulates the
   // recovery work performed.
   SpilledModeCopy(const CooTensor& sorted, std::size_t mode,
-                  const std::string& dir,
-                  std::span<const ShardRunStatsRecord> shard_stats = {},
-                  SpillStats* stats = nullptr);
+                  const std::string& dir, SpillStats* stats = nullptr);
   ~SpilledModeCopy();
 
   SpilledModeCopy(const SpilledModeCopy&) = delete;
@@ -75,11 +70,6 @@ class SpilledModeCopy {
   std::size_t bytes_per_nnz() const { return map_.bytes_per_nnz(); }
   const std::string& path() const { return path_; }
   std::uint64_t file_bytes() const { return map_.mapped_bytes(); }
-  // Per-shard run structure persisted at spill time (empty on files
-  // written without it).
-  std::span<const ShardRunStatsRecord> shard_run_stats() const {
-    return map_.shard_run_stats();
-  }
 
   // Copies elements [begin, end) of the sorted copy into an owned tensor
   // (the stream buffer). Budget accounting is the caller's concern.

@@ -163,11 +163,10 @@ void AtomicFileWriter::commit() {
 // ---------------------------------------------------------------------------
 // Writer
 
-void write_snapshot_file(const CooTensor& t, const std::string& path,
-                         std::span<const ShardRunStatsRecord> shard_stats) {
+void write_snapshot_file(const CooTensor& t, const std::string& path) {
   const std::uint64_t modes = t.num_modes();
   const std::uint64_t nnz = t.nnz();
-  const std::uint64_t segments = modes + 2 + (shard_stats.empty() ? 0 : 1);
+  const std::uint64_t segments = modes + 2;
 
   std::vector<std::uint64_t> dims64(t.dims().begin(), t.dims().end());
 
@@ -194,10 +193,6 @@ void write_snapshot_file(const CooTensor& t, const std::string& path,
   }
   add_segment(SegmentKind::kValues, 0, t.values().data(),
               nnz * sizeof(value_t));
-  if (!shard_stats.empty()) {
-    add_segment(SegmentKind::kShardRunStats, 0, shard_stats.data(),
-                shard_stats.size() * sizeof(ShardRunStatsRecord));
-  }
 
   const auto table_bytes = serialise_table(table);
 
@@ -225,7 +220,6 @@ void write_snapshot_file(const CooTensor& t, const std::string& path,
       case SegmentKind::kDims: src = dims64.data(); break;
       case SegmentKind::kIndices: src = t.indices(e.param).data(); break;
       case SegmentKind::kValues: src = t.values().data(); break;
-      case SegmentKind::kShardRunStats: src = shard_stats.data(); break;
     }
     out.write(src, static_cast<std::size_t>(e.bytes));
   }
@@ -253,11 +247,7 @@ SnapshotView parse_snapshot(std::span<const std::byte> file,
   const auto table_checksum = load_le<std::uint64_t>(file.data() + 40);
 
   if (modes > kMaxModes) bad("too many modes");
-  // modes + 2 mandatory segments, plus at most one optional run-stats
-  // segment (spill files).
-  if (num_segments != modes + 2 && num_segments != modes + 3) {
-    bad("bad segment count");
-  }
+  if (num_segments != modes + 2) bad("bad segment count");
   // Overflow-safe range checks: a corrupt header must produce a clear
   // error, never an out-of-bounds read (offsets/counts are attacker- or
   // bitrot-controlled here).
@@ -282,7 +272,7 @@ SnapshotView parse_snapshot(std::span<const std::byte> file,
   view.nnz = nnz;
   view.indices.resize(static_cast<std::size_t>(modes));
   std::vector<bool> mode_seen(static_cast<std::size_t>(modes), false);
-  bool dims_seen = false, values_seen = false, stats_seen = false;
+  bool dims_seen = false, values_seen = false;
 
   for (std::uint64_t s = 0; s < num_segments; ++s) {
     const std::byte* e = table + s * kSegmentEntryBytes;
@@ -339,22 +329,11 @@ SnapshotView parse_snapshot(std::span<const std::byte> file,
             static_cast<std::size_t>(nnz));
         break;
       }
-      case SegmentKind::kShardRunStats: {
-        if (stats_seen || bytes % sizeof(ShardRunStatsRecord) != 0) {
-          bad("bad shard-run-stats segment");
-        }
-        stats_seen = true;
-        view.shard_stats = std::span<const ShardRunStatsRecord>(
-            reinterpret_cast<const ShardRunStatsRecord*>(payload),
-            static_cast<std::size_t>(bytes) / sizeof(ShardRunStatsRecord));
-        break;
-      }
       default:
         bad("unknown segment kind " + std::to_string(kind));
     }
   }
   if (!dims_seen || !values_seen) bad("missing segment");
-  if (stats_seen != (num_segments == modes + 3)) bad("bad segment count");
   for (std::uint64_t m = 0; m < modes; ++m) {
     if (!mode_seen[static_cast<std::size_t>(m)]) bad("missing index segment");
   }

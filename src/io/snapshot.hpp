@@ -11,19 +11,14 @@
 //     [40..48)  u64 FNV checksum of the segment table bytes
 //     [48..64)  reserved, zero
 //   offset 64  segment table, num_segments x 40-byte entries
-//     u32 kind (0 = dims, 1 = indices, 2 = values, 3 = shard run stats)
+//     u32 kind (0 = dims, 1 = indices, 2 = values)
 //     u32 param (mode number for kind 1, else 0)
 //     u64 offset    -- absolute, 64-byte aligned
 //     u64 bytes     -- payload size
 //     u64 checksum  -- FNV over the payload
 //     u64 reserved, zero
 //   then one 64-byte-aligned segment per entry:
-//     dims: num_modes x u64; indices: nnz x u32 per mode; values: nnz x f32;
-//     shard run stats (optional, at most one): N x 4 u64 records
-//     {nnz_begin, nnz_end, runs, max_run} describing the run structure of
-//     each shard of the partition the file was spilled under — written at
-//     spill time so the cost-model scheduler prices spilled shards from
-//     real structure instead of an index-width guess
+//     dims: num_modes x u64; indices: nnz x u32 per mode; values: nnz x f32
 //
 // 64-byte segment alignment means a mapped segment can be consumed
 // in place as a typed array on any cache-line-aligned architecture — the
@@ -54,20 +49,7 @@ enum class SegmentKind : std::uint32_t {
   kDims = 0,
   kIndices = 1,
   kValues = 2,
-  kShardRunStats = 3,
 };
-
-// One record of the optional shard-run-stats segment: the run structure
-// of elements [nnz_begin, nnz_end) of the (sorted) file — self-describing
-// so readers match records to shards by range, not by position.
-struct ShardRunStatsRecord {
-  std::uint64_t nnz_begin = 0;
-  std::uint64_t nnz_end = 0;
-  std::uint64_t runs = 0;
-  std::uint64_t max_run = 0;
-};
-static_assert(sizeof(ShardRunStatsRecord) == 32,
-              "record layout is the on-disk layout");
 
 // FNV-1a variant over 64-bit little-endian words (tail zero-padded, length
 // folded into the seed): one multiply per 8 bytes keeps verification at
@@ -75,11 +57,7 @@ static_assert(sizeof(ShardRunStatsRecord) == 32,
 std::uint64_t checksum64(const void* data, std::size_t bytes);
 
 // Writes `t` as a v2 snapshot via temp file + fsync + atomic rename.
-// A nonempty `shard_stats` adds the optional run-stats segment (spill
-// files pass the partition's per-shard run structure; plain conversions
-// write none).
-void write_snapshot_file(const CooTensor& t, const std::string& path,
-                         std::span<const ShardRunStatsRecord> shard_stats = {});
+void write_snapshot_file(const CooTensor& t, const std::string& path);
 
 // Reads a v2 snapshot (checksums verified) into an owned tensor; v1 files
 // are accepted and routed through the v1 reader. Throws std::runtime_error
@@ -93,8 +71,6 @@ struct SnapshotView {
   nnz_t nnz = 0;
   std::vector<std::span<const index_t>> indices;  // one span per mode
   std::span<const value_t> values;
-  // Empty unless the file carries the optional run-stats segment.
-  std::span<const ShardRunStatsRecord> shard_stats;
 };
 
 // Parses and validates a v2 snapshot held in `file`; `context` names the

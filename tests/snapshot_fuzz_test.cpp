@@ -42,12 +42,8 @@ class SnapshotFuzzTest : public ::testing::Test {
     auto tensor = generate_random(opt);
     tensor.sort_by_mode(0);
 
-    // Include the optional run-stats segment so its parsing is attacked
-    // too.
-    std::vector<io::ShardRunStatsRecord> stats = {
-        {0, 250, 40, 10}, {250, 500, 35, 12}};
     valid_path_ = (dir_ / "valid.amptns").string();
-    io::write_snapshot_file(tensor, valid_path_, stats);
+    io::write_snapshot_file(tensor, valid_path_);
 
     std::ifstream in(valid_path_, std::ios::binary);
     ASSERT_TRUE(in.good());
@@ -112,7 +108,7 @@ TEST_F(SnapshotFuzzTest, EveryHeaderBitFlipIsHandled) {
 TEST_F(SnapshotFuzzTest, EverySegmentTableBitFlipIsRejected) {
   const auto layout = io::inspect_snapshot(valid_path_);
   const std::size_t table_bytes = layout.segments.size() * 40;
-  ASSERT_EQ(layout.segments.size(), 6u);  // dims + 3 indices + values + stats
+  ASSERT_EQ(layout.segments.size(), 5u);  // dims + 3 indices + values
   for (std::size_t byte = 64; byte < 64 + table_bytes; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       auto bytes = valid_bytes_;

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "io/mapped_tensor.hpp"
@@ -131,44 +133,51 @@ TEST_F(SnapshotTest, SegmentsAreAligned) {
   }
 }
 
-TEST_F(SnapshotTest, ShardRunStatsSegmentRoundTrips) {
-  // The optional run-stats segment (written at spill time) must survive
-  // the mapped-view round trip and leave the tensor payload untouched;
-  // files written without it must read back with an empty span.
+TEST_F(SnapshotTest, RetiredRunStatsSegmentRejected) {
+  // Spill files once carried a fourth segment kind (per-shard run stats).
+  // The reader knows dims, indices and values only: a table naming kind
+  // 3, or holding one segment more than the modes need, is rejected with
+  // a clear error even when its checksum is consistent.
   const auto t = make_tensor({20, 30, 10}, 500, 11);
-  const std::vector<io::ShardRunStatsRecord> stats = {
-      {0, 200, 40, 12}, {200, 350, 33, 9}, {350, 500, 50, 4}};
-  const auto p = path("stats.amptns");
-  io::write_snapshot_file(t, p, stats);
-
-  io::MappedCooTensor mapped(p);
-  const auto got = mapped.shard_run_stats();
-  ASSERT_EQ(got.size(), stats.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    EXPECT_EQ(got[i].nnz_begin, stats[i].nnz_begin) << i;
-    EXPECT_EQ(got[i].nnz_end, stats[i].nnz_end) << i;
-    EXPECT_EQ(got[i].runs, stats[i].runs) << i;
-    EXPECT_EQ(got[i].max_run, stats[i].max_run) << i;
-  }
-  expect_tensors_equal(t, io::read_snapshot_file(p));
-
+  const auto p = path("retired.amptns");
+  io::write_snapshot_file(t, p);
   const auto layout = io::inspect_snapshot(p);
-  ASSERT_EQ(layout.segments.size(), 6u);  // dims + 3 index cols + values + stats
-  bool saw_stats = false;
-  for (const auto& seg : layout.segments) {
-    EXPECT_EQ(seg.offset % io::kSnapshotAlignment, 0u);
-    if (seg.kind == io::SegmentKind::kShardRunStats) {
-      saw_stats = true;
-      EXPECT_EQ(seg.bytes, stats.size() * sizeof(io::ShardRunStatsRecord));
-    }
-  }
-  EXPECT_TRUE(saw_stats);
+  ASSERT_EQ(layout.segments.size(), 5u);  // dims + 3 index cols + values
 
-  // Plain conversions carry no stats segment.
-  const auto plain = path("nostats.amptns");
-  io::write_snapshot_file(t, plain);
-  io::MappedCooTensor plain_mapped(plain);
-  EXPECT_TRUE(plain_mapped.shard_run_stats().empty());
+  std::vector<char> valid;
+  {
+    std::ifstream in(p, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  auto rejects = [&](std::vector<char> bytes, const std::string& why) {
+    const auto bad = path("bad.amptns");
+    {
+      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      (void)io::read_snapshot_file(bad);
+      ADD_FAILURE() << "accepted a file with " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // The values entry relabelled kind 3, table checksum recomputed.
+  constexpr std::size_t kTable = 64, kEntry = 40;
+  auto kind3 = valid;
+  kind3[kTable + 4 * kEntry] = 3;
+  const std::uint64_t sum = io::checksum64(kind3.data() + kTable, 5 * kEntry);
+  std::memcpy(kind3.data() + 40, &sum, sizeof(sum));
+  rejects(kind3, "unknown segment kind 3");
+
+  // A header claiming modes + 3 segments.
+  auto extra = valid;
+  const std::uint64_t six = 6;
+  std::memcpy(extra.data() + 24, &six, sizeof(six));
+  rejects(extra, "bad segment count");
 }
 
 TEST_F(SnapshotTest, ChecksumCorruptionRejected) {
